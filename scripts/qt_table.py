@@ -7,8 +7,9 @@ import argparse
 import json
 from collections import Counter
 
-from zetakit.paths import enumerate_paths, lattice, signed_lattice
+from zetakit.paths import enumerate_paths
 from zetakit.stats import area, dinv_c
+from zetakit.typespec import type_spec
 from zetakit.zeta import zeta_path
 
 
@@ -18,9 +19,8 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=4)
     args = parser.parse_args()
 
-    kind = signed_lattice(args.n) if args.type == "D" else lattice(args.n, args.n)
     table = Counter()
-    for p in enumerate_paths(kind):
+    for p in enumerate_paths(type_spec(args.type).source.kind(args.n)):
         image_area = area(zeta_path(p, args.type), args.type)
         if args.type == "C":
             table[(dinv_c(p), image_area)] += 1

@@ -39,7 +39,7 @@ from .rootposet import (
     positive_roots,
     to_parking_function,
 )
-from .signedperm import SignedPermutation, is_type_D, weyl_group
+from .signedperm import SignedPermutation, weyl_group
 from .stats import area, area_prime, dinv_b_experimental, dinv_c, dinv_c_prime
 from .torus import (
     TorusElement,

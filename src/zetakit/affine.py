@@ -47,7 +47,7 @@ class AffinePermutation:
 
     def compose(self, other: "AffinePermutation") -> "AffinePermutation":
         """(self * other)(i) = self(other(i))."""
-        other = coerce_affine(other, self.n)
+        other = coerce_affine(other)
         if self.n != other.n:
             raise RankMismatch("rank %d vs %d" % (self.n, other.n))
         return AffinePermutation(tuple(self(other.window[i]) for i in range(self.n)))
@@ -103,7 +103,7 @@ def from_window(window, n: int | None = None) -> AffinePermutation:
     return AffinePermutation(window)
 
 
-def coerce_affine(w, n: int) -> AffinePermutation:
+def coerce_affine(w) -> AffinePermutation:
     if isinstance(w, AffinePermutation):
         return w
     if isinstance(w, SignedPermutation):
@@ -146,7 +146,7 @@ def decompose(w: AffinePermutation) -> TranslationSplit:
 
 
 def recompose(split: TranslationSplit) -> AffinePermutation:
-    return translation(split.mu).compose(coerce_affine(split.sigma, split.sigma.n))
+    return translation(split.mu).compose(coerce_affine(split.sigma))
 
 
 def is_grassmannian(w: AffinePermutation, lattice_type: str) -> bool:
@@ -219,10 +219,6 @@ def in_group(w: AffinePermutation, lattice_type: str) -> bool:
     raise ValueError("unknown type %r" % lattice_type)
 
 
-def act_on_coroot(w: AffinePermutation, x) -> tuple[int, ...]:
-    return w.act(x)
-
-
 def dominant_frame_parts(lattice_type: str, n: int):
     """Translation and finite parts (shift, twist) of the frame element
     used to normalize area vectors."""
@@ -253,7 +249,7 @@ def dominant_frame_parts(lattice_type: str, n: int):
 def dominant_frame(lattice_type: str, n: int) -> AffinePermutation:
     """The affine element with parts dominant_frame_parts(type, n)."""
     shift, twist = dominant_frame_parts(lattice_type, n)
-    return translation(shift).compose(coerce_affine(twist, n))
+    return translation(shift).compose(coerce_affine(twist))
 
 
 def affine_to_json(w: AffinePermutation, lattice_type: str) -> dict:

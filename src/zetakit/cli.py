@@ -1,9 +1,9 @@
 """Command line front end: transform paths, run the verification suite,
 and export statistic tables.
 
-Exit codes: 2 for malformed input or bad flag combinations, 3 for shape
-or labelling violations, 1 for failed verification checks or I/O
-problems.
+Exit codes: 2 for malformed input, bad flag combinations, a rank below
+the type's smallest or over the enumeration cap; 3 for shape or labelling
+violations; 1 for failed verification checks or I/O problems.
 """
 
 from __future__ import annotations
@@ -19,53 +19,27 @@ from .errors import (
     InvalidLabelling,
     MalformedToken,
     NotBijective,
+    RankMismatch,
     ShapeMismatch,
     ShapeViolation,
 )
-from .paths import (
-    ballot,
-    count_paths,
-    enumerate_paths,
-    enumeration_cap,
-    is_dyck,
-    lattice,
-    parse_path,
-    path_to_json,
-    render_path,
-    signed_ballot,
-    signed_lattice,
-)
+from .paths import enumerate_paths, is_dyck, parse_path, path_to_json, render_path
 from .signedperm import SignedPermutation
 from .torus import VertPath, is_vertical_labelling
+from .typespec import type_spec
 from .verify import run_suite
 
 _PARSE_ERRORS = (MalformedToken, NotBijective, ValueError)
 _SHAPE_ERRORS = (ShapeViolation, ShapeMismatch, InvalidLabelling)
 
 
-def _infer_source_kind(text: str, lattice_type: str):
-    toks = [t for t in text.replace(" ", "") if t in "NE"]
-    norths = sum(1 for t in toks if t == "N")
-    if lattice_type == "D":
-        return signed_lattice(norths)
-    return lattice(len(toks) - norths, norths)
-
-
-def _infer_target_kind(text: str, lattice_type: str):
-    toks = [t for t in text.replace(" ", "") if t in "NE"]
-    norths = sum(1 for t in toks if t == "N")
-    if lattice_type == "D":
-        return signed_ballot((len(toks) + 1) // 2)
-    if lattice_type == "A":
-        return lattice(len(toks) - norths, norths)
-    return ballot(len(toks))
-
-
 def _cmd_zeta(args) -> int:
     lt = args.type
+    spec = type_spec(lt)
+    # a path kind of rank n has 2n - 1 or 2n steps
+    n = (args.path.count("N") + args.path.count("E") + 1) // 2
     if args.inverse:
-        kind = _infer_target_kind(args.path, lt)
-        target = parse_path(args.path, kind)
+        target = parse_path(args.path, spec.target.kind(n))
         if lt == "C" and not args.table:
             preimage = zeta.inverse_zeta_c(target)
         else:
@@ -73,10 +47,7 @@ def _cmd_zeta(args) -> int:
         out = {"type": lt, "input": path_to_json(target), "preimage": path_to_json(preimage)}
         print(json.dumps(out))
         return 0
-    kind = _infer_source_kind(args.path, lt)
-    source = parse_path(args.path, kind)
-    if lt == "A" and not is_dyck(source):
-        raise ShapeMismatch("type A expects a path weakly above the diagonal")
+    source = parse_path(args.path, spec.source.kind(n))
     out = {
         "type": lt,
         "input": path_to_json(source),
@@ -115,15 +86,13 @@ def _cmd_table(args) -> int:
     bad = [s for s in wanted if s not in allowed]
     if bad:
         raise ValueError("statistics %s not available in type %s" % (", ".join(bad), lt))
+    spec = type_spec(lt)
     rows = []
-    if args.n > 0:
-        kind = signed_lattice(args.n) if lt == "D" else lattice(args.n, args.n)
-        total = count_paths(kind)
-        if total > enumeration_cap():
-            raise CapExceeded("%d paths exceed the cap" % total)
-        for p in enumerate_paths(kind):
-            if lt == "A" and not is_dyck(p):
-                continue
+    if args.n != 0:  # rank 0 writes the header alone
+        sources = enumerate_paths(spec.source.kind(spec.check_rank(args.n)))
+        if spec.dyck:
+            sources = filter(is_dyck, sources)
+        for p in sources:
             image = zeta.zeta_path(p, lt)
             row = {"path": render_path(p)}
             for s in wanted:
@@ -188,6 +157,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
+        return 2
+    except RankMismatch as exc:
+        print("rank error: %s" % exc, file=sys.stderr)
         return 2
     except _SHAPE_ERRORS as exc:
         print("shape error: %s" % exc, file=sys.stderr)

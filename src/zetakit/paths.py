@@ -392,9 +392,6 @@ def enumerate_paths(kind: PathKind, cap: int | None = None) -> Iterator[Path]:
         e_ok = (e_used < east) if east is not None else (e_used < east_max)
         if ballot_rule and e_used >= n_used:
             e_ok = False
-        if east is None and north is None:
-            # remaining steps must be fillable with N only; always true
-            pass
         if north is not None and n_used >= north and not e_ok:
             return
         if e_ok:

@@ -16,11 +16,12 @@ from .errors import (
     InvalidLabelling,
     NotAntichain,
     RankMismatch,
-    ShapeMismatch,
     TypeMismatch,
+    ZetakitError,
 )
-from .paths import Path, make_path, north_count, sign_of, valleys
+from .paths import Path, make_path, sign_of, valleys
 from .signedperm import SignedPermutation
+from .typespec import type_spec
 
 # kinds: "diff" e_j - e_i, "sum" e_i + e_j (both with i < j), "short" e_i, "long" 2e_i
 _KINDS = {
@@ -190,16 +191,10 @@ def is_antichain(roots, n: int) -> bool:
     return True
 
 
-def _rank_of_ballot(p: Path, lattice_type: str) -> int:
-    if lattice_type in ("B", "C"):
-        if p.kind.shape != "ballot" or p.kind.params[0] % 2 != 0:
-            raise ShapeMismatch("type %s needs an even ballot path, got %s" % (lattice_type, p.kind))
-        return p.kind.params[0] // 2
-    if lattice_type == "D":
-        if p.kind.shape != "signed_ballot":
-            raise ShapeMismatch("type D needs a signed ballot path, got %s" % p.kind)
-        return p.kind.params[0]
-    raise ValueError("unknown type %r" % lattice_type)
+def _ballot_rank(p: Path, lattice_type: str) -> int:
+    if lattice_type not in _KINDS:
+        raise ValueError("type %r has no root poset here" % (lattice_type,))
+    return type_spec(lattice_type).target_rank(p)
 
 
 def _nth_north_followed_by_east(p: Path, n: int) -> bool:
@@ -219,7 +214,7 @@ def _pm_root(lattice_type: str, a: int, coeff: int) -> Root:
 
 def ballot_to_antichain(p: Path, lattice_type: str) -> tuple[Root, ...]:
     """The antichain whose valleys are those of the ballot path."""
-    n = _rank_of_ballot(p, lattice_type)
+    n = _ballot_rank(p, lattice_type)
     out = []
     if lattice_type in ("B", "C"):
         for i, j in valleys(p):
@@ -287,15 +282,12 @@ def _path_from_valleys(vs, lattice_type: str, n: int, sign: int, want_signed_slo
             prev_e = by_j[j]
         steps.append(paths.N)
     steps.extend([paths.E] * (ecount - prev_e))
-    if lattice_type in ("B", "C"):
-        try:
-            return make_path(steps, paths.ballot(length))
-        except Exception:
-            return None
     try:
         plain = make_path(steps, paths.ballot(length))
-    except Exception:
+    except ZetakitError:
         return None
+    if lattice_type in ("B", "C"):
+        return plain
     lifted_kind = paths.signed_ballot(n)
     slot = paths._signed_slot(tuple(steps), lifted_kind)
     if want_signed_slot is not None and (slot is not None) != want_signed_slot:
@@ -366,7 +358,7 @@ def antichain_to_ballot(roots, lattice_type: str, n: int) -> Path:
 
 def diag_validate(p: Path, w: SignedPermutation, lattice_type: str) -> bool:
     """Inequality test for a diagonal labelling of a ballot path."""
-    n = _rank_of_ballot(p, lattice_type)
+    n = _ballot_rank(p, lattice_type)
     if w.n != n:
         raise RankMismatch("labels have rank %d, path has rank %d" % (w.n, n))
     if lattice_type == "C":

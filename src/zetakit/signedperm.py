@@ -91,11 +91,10 @@ class SignedPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "SignedPermutation":
-        return cls(tuple(json.loads(text)))
-
-
-def is_type_D(w: SignedPermutation) -> bool:
-    return w.is_even()
+        window = json.loads(text)
+        if not isinstance(window, list) or not all(type(v) is int for v in window):
+            raise NotBijective("%r is not a list of integers" % (text,))
+        return cls(tuple(window))
 
 
 def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:

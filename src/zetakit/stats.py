@@ -3,7 +3,7 @@ diagonal inversion counts."""
 
 from __future__ import annotations
 
-from .errors import InvalidLabelling, ShapeMismatch
+from .errors import InvalidLabelling
 from .paths import Path
 from .rootposet import (
     _upsets,
@@ -15,13 +15,14 @@ from .rootposet import (
 )
 from .signedperm import SignedPermutation
 from .torus import VertPath
+from .typespec import type_spec
 from .zeta import area_vector
 
 
 def _ideal(p: Path, lattice_type: str):
     """Positive roots with nothing from the path's antichain below them."""
     anti = ballot_to_antichain(p, lattice_type)
-    n = p.kind.params[0] // 2 if p.kind.shape == "ballot" else p.kind.params[0]
+    n = type_spec(lattice_type).target_rank(p)
     ups = _upsets(lattice_type, n)
     return [x for x in positive_roots(lattice_type, n) if not any(x in ups[y] for y in anti)]
 

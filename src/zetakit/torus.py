@@ -8,17 +8,11 @@ quotient is coordinatewise arithmetic modulo m.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import paths
-from .errors import (
-    InternalError,
-    InvalidLabelling,
-    NotRepresentative,
-    ShapeMismatch,
-)
+from .errors import InternalError, InvalidLabelling, NotRepresentative
 from .paths import Path, east_counts, make_path, rises, sign_of
 from .rootposet import (
     highest_root_vector,
@@ -27,19 +21,7 @@ from .rootposet import (
     simple_root_vectors,
 )
 from .signedperm import SignedPermutation, weyl_group
-
-
-def modulus(lattice_type: str, n: int) -> int:
-    if lattice_type in ("B", "C"):
-        return 2 * n + 1
-    if lattice_type == "D":
-        return 2 * n - 1
-    raise ValueError("no torus modulus for type %r" % lattice_type)
-
-
-def min_rank(lattice_type: str) -> int:
-    """Smallest rank the path models support."""
-    return 2 if lattice_type in ("B", "D") else 1
+from .typespec import min_rank, modulus, type_spec  # noqa: F401  (min_rank is re-exported)
 
 
 @dataclass(frozen=True)
@@ -83,32 +65,19 @@ def torus_from_json(d: dict) -> TorusElement:
     return torus_element(d["type"], d["coords"])
 
 
-def _expect_kind(p: Path, lattice_type: str) -> int:
-    if lattice_type in ("B", "C"):
-        if p.kind.shape != "lattice" or p.kind.params[0] != p.kind.params[1]:
-            raise ShapeMismatch("type %s needs a square lattice path, got %s" % (lattice_type, p.kind))
-        return p.kind.params[1]
-    if lattice_type == "D":
-        if p.kind.shape != "signed_lattice":
-            raise ShapeMismatch("type D needs a signed lattice path, got %s" % p.kind)
-        return p.kind.params[0]
-    raise ValueError("unsupported type %r" % lattice_type)
-
-
 def lambda_of_path(p: Path, lattice_type: str) -> tuple[int, ...]:
     """The orbit representative encoded by a path."""
-    n = _expect_kind(p, lattice_type)
+    spec = type_spec(lattice_type)
+    n = spec.source_rank(p)
     pi = east_counts(p)
     if lattice_type == "C":
         return pi
-    if lattice_type == "D":
-        head = sum(pi[: n - 2]) % 2
-        lam = [sign_of(p) * pi[0]] + list(pi[1 : n - 1])
-        lam.append(2 * pi[n - 1] - pi[n - 2] if head == 0 else 2 * n - 1 - 2 * pi[n - 1] + pi[n - 2])
-        return tuple(lam)
+    m = spec.modulus(n)
     head = sum(pi[: n - 2]) % 2
     lam = list(pi[: n - 1])
-    lam.append(2 * pi[n - 1] - pi[n - 2] if head == 0 else 2 * n + 1 - 2 * pi[n - 1] + pi[n - 2])
+    if lattice_type == "D":
+        lam[0] *= sign_of(p)
+    lam.append(2 * pi[n - 1] - pi[n - 2] if head == 0 else m - 2 * pi[n - 1] + pi[n - 2])
     return tuple(lam)
 
 
@@ -137,14 +106,15 @@ def is_representative(lam, lattice_type: str) -> bool:
 def path_of_lambda(lam, lattice_type: str) -> Path:
     """Inverse of lambda_of_path."""
     lam = tuple(lam)
-    n = len(lam)
+    spec = type_spec(lattice_type)
+    n = spec.check_rank(len(lam))
     if not is_representative(lam, lattice_type):
         raise NotRepresentative("%r does not represent an orbit in type %s" % (lam, lattice_type))
     if lattice_type == "C":
         pi = lam
         sign = 1
     else:
-        full = 2 * n + 1 if lattice_type == "B" else 2 * n - 1
+        full = spec.modulus(n)
         pi = [abs(lam[0])] + [abs(v) for v in lam[1 : n - 1]]
         head = sum(pi[: n - 2]) % 2
         last2 = lam[-2] + lam[-1] if head == 0 else full + lam[-2] - lam[-1]
@@ -154,7 +124,8 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
         sign = -1 if (lattice_type == "D" and lam[0] < 0) else 1
     if any(a > b for a, b in zip(pi, pi[1:])):
         raise NotRepresentative("east counts %r not increasing" % (pi,))
-    emax = n if lattice_type in ("B", "C") else n - 1
+    kind = spec.source.kind(n)
+    emax = paths._expected_counts(kind)[0]
     if pi[-1] > emax:
         raise NotRepresentative("east count %d exceeds width %d" % (pi[-1], emax))
     steps = []
@@ -164,10 +135,7 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
         steps.append(paths.N)
         prev = v
     steps.extend([paths.E] * (emax - prev))
-    if lattice_type in ("B", "C"):
-        return make_path(steps, paths.lattice(n, n))
-    kind = paths.signed_lattice(n)
-    slot = 0 if steps[0] == paths.E else None
+    slot = paths._signed_slot(tuple(steps), kind)
     return make_path(steps, kind, slot, sign if slot is not None else 1)
 
 
@@ -208,15 +176,11 @@ class VertPath:
 
 
 def is_vertical_labelling(p: Path, v: SignedPermutation, lattice_type: str) -> bool:
+    n = type_spec(lattice_type).source_rank(p)
+    if v.n != n or not all(v(i) < v(i + 1) for i in rises(p)):
+        return False
     if lattice_type == "A":
-        if not paths.is_dyck(p) or not v.is_permutation():
-            return False
-        return all(v(i) < v(i + 1) for i in rises(p))
-    n = _expect_kind(p, lattice_type)
-    if v.n != n:
-        return False
-    if not all(v(i) < v(i + 1) for i in rises(p)):
-        return False
+        return v.is_permutation()
     if lattice_type in ("B", "C"):
         return not (p.steps[0] == paths.N and v(1) < 0)
     lam = lambda_of_path(p, "D")
@@ -258,16 +222,11 @@ def to_torus(vp: VertPath, lattice_type: str) -> TorusElement:
 
 
 def enumerate_vert(lt: str, n: int):
-    if lt == "A":
-        kinds = paths.lattice(n, n)
-        src = (p for p in paths.enumerate_paths(kinds) if paths.is_dyck(p))
-    elif lt in ("B", "C"):
-        src = paths.enumerate_paths(paths.lattice(n, n))
-    else:
-        src = paths.enumerate_paths(paths.signed_lattice(n))
-    # labels of a type D path run over the full signed group; the even-sign
-    # constraint is absorbed by the sign-product condition
-    group = weyl_group("B" if lt == "D" else lt, n)
+    spec = type_spec(lt)
+    src = paths.enumerate_paths(spec.source.kind(spec.check_rank(n)))
+    if spec.dyck:
+        src = filter(paths.is_dyck, src)
+    group = weyl_group(spec.label_type, n)
     for p in src:
         rr = rises(p)
         starts_n = bool(p.steps) and p.steps[0] == paths.N

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from . import paths, stats, zeta
 from .affine import (
     coerce_affine,
-    decompose,
     dominant_frame,
     dominant_frame_parts,
     grassmannian_companion,
@@ -34,13 +33,11 @@ from .paths import (
     render_path,
     rises,
     sign_of,
-    signed_ballot,
-    signed_lattice,
-    strip_signs,
     valleys,
 )
 from .rootposet import (
     ParkingFunction,
+    _nth_north_followed_by_east,
     diag_validate,
     root_from_vector,
     to_parking_function,
@@ -51,25 +48,10 @@ from .torus import (
     enumerate_vert,
     label_twist,
     lambda_of_path,
-    min_rank,
-    modulus,
     to_torus,
     wall_roots,
 )
-
-CHECK_NAMES = (
-    "counting",
-    "bijectivity",
-    "labelled_bijectivity",
-    "inverse_roundtrip",
-    "sweep_equiv",
-    "rise_valley",
-    "stats_identity",
-    "uniform",
-    "anderson",
-)
-
-_LABELLED = ("labelled_bijectivity", "rise_valley", "uniform", "anderson")
+from .typespec import LABELLED_CHECKS, TypeSpec, modulus, type_spec
 
 
 def uniform_oracle(vp: VertPath, lattice_type: str) -> ParkingFunction:
@@ -98,9 +80,9 @@ def anderson_windows(vp: VertPath, lattice_type: str) -> dict:
     m = modulus(lattice_type, n)
     mu = zeta.area_vector(vp.path, lattice_type)
     sigma = grassmannian_companion(mu, lattice_type)
-    w_dom = translation(mu).compose(coerce_affine(sigma, n)).inverse()
+    w_dom = translation(mu).compose(coerce_affine(sigma)).inverse()
     word = zeta.reading_word(vp, lattice_type)
-    w_reg = coerce_affine(word, n).compose(w_dom)
+    w_reg = coerce_affine(word).compose(w_dom)
     frame = dominant_frame(lattice_type, n)
     product = w_reg.compose(frame.inverse())
     vector = tuple((-c) % m for c in product.act((0,) * n))
@@ -145,13 +127,7 @@ def _valley_tokens(p: Path, w: SignedPermutation, lattice_type: str):
     toks = []
     if lattice_type == "D":
         eps = sign_of(p)
-        nth_east = False
-        seen = 0
-        for k, s in enumerate(p.steps):
-            if s == paths.N:
-                seen += 1
-                if seen == n:
-                    nth_east = k + 1 < len(p.steps) and p.steps[k + 1] == paths.E
+        nth_east = _nth_north_followed_by_east(p, n)
     for i, j in valleys(p):
         first = w(n + 1 - i)
         if lattice_type == "C":
@@ -174,72 +150,46 @@ def _valley_tokens(p: Path, w: SignedPermutation, lattice_type: str):
     return sorted(toks)
 
 
-def _first_failure(gen) -> str | None:
-    for witness in gen:
-        return witness
-    return None
-
-
-def _source_kind(lt: str, n: int):
-    return signed_lattice(n) if lt == "D" else lattice(n, n)
-
-
-def _target_kind(lt: str, n: int):
-    if lt == "D":
-        return signed_ballot(n)
-    if lt == "A":
-        return lattice(n, n)
-    return ballot(2 * n)
-
-
-def _source_paths(lt: str, n: int):
-    for p in enumerate_paths(_source_kind(lt, n)):
-        if lt == "A" and not is_dyck(p):
-            continue
-        yield p
+def _paths(spec: TypeSpec, kind):
+    """Every path of the kind; type A keeps the Dyck paths only."""
+    stream = enumerate_paths(kind)
+    return filter(is_dyck, stream) if spec.dyck else stream
 
 
 def _check_counting(lt: str, n: int):
+    spec = type_spec(lt)
     if lt == "A":
-        dycks = sum(1 for _ in _source_paths(lt, n))
+        dycks = sum(1 for _ in _paths(spec, spec.source.kind(n)))
         catalan = math.comb(2 * n, n) // (n + 1)
         if dycks != catalan:
             return "Dyck count %d != %d" % (dycks, catalan)
         return None
+    a = sum(1 for _ in enumerate_paths(spec.source.kind(n)))
+    b = sum(1 for _ in enumerate_paths(spec.target.kind(n)))
     if lt in ("B", "C"):
-        a = sum(1 for _ in enumerate_paths(lattice(n, n)))
-        b = sum(1 for _ in enumerate_paths(ballot(2 * n)))
         want = math.comb(2 * n, n)
         if not a == b == want:
             return "counts %d, %d != %d" % (a, b, want)
         return None
-    a = sum(1 for _ in enumerate_paths(lattice(n - 1, n)))
-    b = sum(1 for _ in enumerate_paths(ballot(2 * n - 1)))
+    ua = sum(1 for _ in enumerate_paths(lattice(n - 1, n)))
+    ub = sum(1 for _ in enumerate_paths(ballot(2 * n - 1)))
     want = math.comb(2 * n - 1, n - 1)
-    sa = sum(1 for _ in enumerate_paths(signed_lattice(n)))
-    sb = sum(1 for _ in enumerate_paths(signed_ballot(n)))
-    if not a == b == want:
-        return "unsigned counts %d, %d != %d" % (a, b, want)
-    if sa != sb:
-        return "signed counts %d != %d" % (sa, sb)
+    if not ua == ub == want:
+        return "unsigned counts %d, %d != %d" % (ua, ub, want)
+    if a != b:
+        return "signed counts %d != %d" % (a, b)
     return None
 
 
 def _check_bijectivity(lt: str, n: int):
+    spec = type_spec(lt)
     images = set()
-    total = 0
-    for p in _source_paths(lt, n):
-        img = zeta.zeta_path(p, lt)
-        key = render_path(img)
+    for p in _paths(spec, spec.source.kind(n)):
+        key = render_path(zeta.zeta_path(p, lt))
         if key in images:
             return "duplicate image %s" % key
         images.add(key)
-        total += 1
-    targets = set()
-    for q in enumerate_paths(_target_kind(lt, n)):
-        if lt == "A" and not is_dyck(q):
-            continue
-        targets.add(render_path(q))
+    targets = {render_path(q) for q in _paths(spec, spec.target.kind(n))}
     if images != targets:
         missing = sorted(targets - images)
         return "image misses %s" % missing[0]
@@ -258,56 +208,46 @@ def _check_labelled_bijectivity(lt: str, n: int):
     count = 0
     for vp in enumerate_vert(lt, n):
         img_path, img_w = zeta.zeta_labelled(vp, lt)
-        if lt == "A":
-            ok = all(img_w(i) < img_w(j) for i, j in valleys(img_path))
-        else:
-            ok = diag_validate(img_path, img_w, lt)
-        if not ok:
+        if not diag_validate(img_path, img_w, lt):
             return "image of %s | %s is not diagonally labelled" % (vp.path, vp.labels)
         key = (render_path(img_path), img_w.window)
         if key in seen:
             return "labelled duplicate at %s | %s" % (vp.path, vp.labels)
         seen.add(key)
         count += 1
-    if lt != "A":
-        expected = modulus(lt, n) ** n
-        if count != expected:
-            return "labelled domain has %d elements, torus has %d" % (count, expected)
-        diag_count = 0
-        group = weyl_group(lt, n)
-        for q in enumerate_paths(_target_kind(lt, n)):
-            diag_count += sum(1 for w in group if diag_validate(q, w, lt))
-        if diag_count != count:
-            return "labelled image misses %d targets" % (diag_count - count)
+    expected = modulus(lt, n) ** n
+    if count != expected:
+        return "labelled domain has %d elements, torus has %d" % (count, expected)
+    diag_count = 0
+    group = weyl_group(lt, n)
+    for q in enumerate_paths(type_spec(lt).target.kind(n)):
+        diag_count += sum(1 for w in group if diag_validate(q, w, lt))
+    if diag_count != count:
+        return "labelled image misses %d targets" % (diag_count - count)
     return None
 
 
 def _check_inverse_roundtrip(lt: str, n: int):
-    if lt != "C":
-        return None
-    for p in _source_paths(lt, n):
+    spec = type_spec(lt)
+    for p in enumerate_paths(spec.source.kind(n)):
         img = zeta.zeta_path(p, "C")
         back = zeta.inverse_zeta_c(img)
         if back != p:
             return "round trip fails at %s" % p
-    for q in enumerate_paths(ballot(2 * n)):
+    for q in enumerate_paths(spec.target.kind(n)):
         if render_path(zeta.zeta_path(zeta.inverse_zeta_c(q), "C")) != render_path(q):
             return "round trip fails at image %s" % q
     return None
 
 
 def _check_sweep_equiv(lt: str, n: int):
-    if lt != "C":
-        return None
-    for p in _source_paths(lt, n):
+    for p in enumerate_paths(type_spec(lt).source.kind(n)):
         if zeta.sweep_c(p) != zeta.zeta_path(p, "C"):
             return "sweep differs at %s" % p
     return None
 
 
 def _check_rise_valley(lt: str, n: int):
-    if lt == "A":
-        return None
     for vp in enumerate_vert(lt, n):
         img_path, img_w = zeta.zeta_labelled(vp, lt)
         if _rise_tokens(vp, lt) != _valley_tokens(img_path, img_w, lt):
@@ -316,9 +256,7 @@ def _check_rise_valley(lt: str, n: int):
 
 
 def _check_stats_identity(lt: str, n: int):
-    if lt != "C":
-        return None
-    for p in _source_paths(lt, n):
+    for p in enumerate_paths(type_spec(lt).source.kind(n)):
         if stats.dinv_c(p) != stats.area(zeta.zeta_path(p, "C"), "C"):
             return "dinv/area differ at %s" % p
     if n <= 4:
@@ -330,8 +268,6 @@ def _check_stats_identity(lt: str, n: int):
 
 
 def _check_uniform(lt: str, n: int):
-    if lt == "A":
-        return None
     for vp in enumerate_vert(lt, n):
         img_path, img_w = zeta.zeta_labelled(vp, lt)
         combinatorial = to_parking_function(img_path, img_w, lt)
@@ -341,8 +277,6 @@ def _check_uniform(lt: str, n: int):
 
 
 def _check_anderson(lt: str, n: int):
-    if lt == "A":
-        return None
     for vp in enumerate_vert(lt, n):
         if not anderson_check(vp, lt):
             return "window arithmetic fails at %s | %s" % (vp.path, vp.labels)
@@ -360,6 +294,7 @@ _CHECKS = {
     "uniform": _check_uniform,
     "anderson": _check_anderson,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -389,33 +324,32 @@ class Report:
         return json.dumps([r.to_dict() for r in self.results], indent=2)
 
 
-def _guard_cap(lt: str, n: int, checks) -> None:
+def _guard_cap(spec: TypeSpec, n: int, check: str) -> None:
     cap = enumeration_cap()
-    heavy = count_paths(_source_kind(lt, n)) + count_paths(_target_kind(lt, n))
-    if any(c in _LABELLED for c in checks) and lt != "A":
-        heavy += modulus(lt, n) ** n
+    heavy = count_paths(spec.source.kind(n)) + count_paths(spec.target.kind(n))
+    if check in LABELLED_CHECKS:
+        heavy += spec.modulus(n) ** n
     if heavy > cap:
         raise CapExceeded("rank %d needs %d objects, cap is %d" % (n, heavy, cap))
 
 
 def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
-    """Run the requested checks for every feasible rank up to n_max."""
+    """Run the requested checks that apply to the type, at every rank from
+    the type's smallest up to n_max.  A rank below the smallest raises
+    RankMismatch, and a rank over the enumeration cap raises CapExceeded,
+    both before any check runs."""
+    spec = type_spec(lattice_type)
     if checks is None:
         checks = CHECK_NAMES
     unknown = [c for c in checks if c not in _CHECKS]
     if unknown:
         raise ValueError("unknown checks: %s" % ", ".join(unknown))
-    ordered = [c for c in CHECK_NAMES if c in checks]
-    lo = 1 if lattice_type == "A" else min_rank(lattice_type)
-    only_c = ("inverse_roundtrip", "sweep_equiv", "stats_identity")
+    spec.check_rank(n_max)
+    plan = [(c, n) for c in spec.checks if c in checks for n in range(spec.min_rank, n_max + 1)]
+    for name, n in plan:
+        _guard_cap(spec, n, name)
     results = []
-    for name in ordered:
-        if name in only_c and lattice_type != "C":
-            continue
-        if name in _LABELLED and lattice_type == "A":
-            continue
-        for n in range(lo, n_max + 1):
-            _guard_cap(lattice_type, n, [name])
-            witness = _CHECKS[name](lattice_type, n)
-            results.append(CheckResult(name, lattice_type, n, witness is None, witness))
+    for name, n in plan:
+        witness = _CHECKS[name](lattice_type, n)
+        results.append(CheckResult(name, lattice_type, n, witness is None, witness))
     return Report(tuple(results))

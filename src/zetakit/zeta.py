@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from . import paths
 from .affine import dominant_frame_parts
-from .errors import CapExceeded, InternalError, ShapeMismatch
+from .errors import InternalError, ShapeMismatch, ZetakitError
 from .paths import (
     Path,
     ballot,
@@ -21,34 +21,19 @@ from .paths import (
     make_path,
     segment,
     sign_of,
-    signed_ballot,
-    signed_lattice,
     strip_signs,
 )
 from .signedperm import SignedPermutation
 from .torus import VertPath, lambda_of_path, path_of_lambda
+from .typespec import type_spec
 
 N, E = paths.N, paths.E
-
-
-def _rank_of_source(p: Path, lattice_type: str) -> int:
-    if lattice_type in ("A", "B", "C"):
-        if p.kind.shape != "lattice" or p.kind.params[0] != p.kind.params[1]:
-            raise ShapeMismatch("type %s needs a square lattice path, got %s" % (lattice_type, p.kind))
-        if lattice_type == "A" and not is_dyck(p):
-            raise ShapeMismatch("type A needs a path weakly above the diagonal")
-        return p.kind.params[1]
-    if lattice_type == "D":
-        if p.kind.shape != "signed_lattice":
-            raise ShapeMismatch("type D needs a signed lattice path, got %s" % p.kind)
-        return p.kind.params[0]
-    raise ValueError("unknown type %r" % lattice_type)
 
 
 def area_vector(p: Path, lattice_type: str) -> tuple[int, ...]:
     """Signed distances from the alternating staircase, in the type's
     normalization."""
-    n = _rank_of_source(p, lattice_type)
+    n = type_spec(lattice_type).source_rank(p)
     if lattice_type == "A":
         pi = east_counts(p)
         return tuple(i - pi[i - 1] - 1 for i in range(1, n + 1))
@@ -62,7 +47,7 @@ def area_vector(p: Path, lattice_type: str) -> tuple[int, ...]:
 def path_of_area_vector(mu, lattice_type: str) -> Path:
     """Inverse of area_vector."""
     mu = tuple(mu)
-    n = len(mu)
+    n = type_spec(lattice_type).check_rank(len(mu))
     if lattice_type == "A":
         pi = tuple(i - mu[i - 1] - 1 for i in range(1, n + 1))
         steps = []
@@ -83,15 +68,15 @@ def path_of_area_vector(mu, lattice_type: str) -> Path:
 
 def is_valid_area_vector(mu, lattice_type: str) -> bool:
     mu = tuple(mu)
+    type_spec(lattice_type).check_rank(len(mu))
     if lattice_type in ("A", "C"):
-        n = len(mu)
         if lattice_type == "A":
             return mu[0] == 0 and all(b <= a + 1 for a, b in zip(mu, mu[1:])) and all(v >= 0 for v in mu)
         return mu[0] >= 0 and mu[-1] <= 1 and all(a <= b + 1 for a, b in zip(mu, mu[1:]))
     try:
         path_of_area_vector(mu, lattice_type)
         return True
-    except Exception:
+    except ZetakitError:
         return False
 
 
@@ -106,15 +91,16 @@ def _segments(mu, j_top: int, drop_last: bool = False) -> str:
 
 def zeta_path(p: Path, lattice_type: str) -> Path:
     """The zeta image of an unlabelled path."""
-    n = _rank_of_source(p, lattice_type)
+    spec = type_spec(lattice_type)
+    n = spec.source_rank(p)
+    kind = spec.target.kind(n)
     mu = area_vector(p, lattice_type)
     top = max((abs(v) for v in mu), default=0)
     if lattice_type == "A":
         word = "".join(segment("left_to_right", -1, j, mu) for j in range(0, -n - 1, -1))
-        return make_path(tuple(word), lattice(n, n))
+        return make_path(tuple(word), kind)
     if lattice_type == "C":
-        word = _segments(mu, top)
-        return make_path(tuple(word), ballot(2 * n))
+        return make_path(tuple(_segments(mu, top)), kind)
     if lattice_type == "B":
         parts = []
         for j in range(top, 0, -1):
@@ -122,10 +108,8 @@ def zeta_path(p: Path, lattice_type: str) -> Path:
             parts.append(segment("left_to_right", 1, j, mu))
         parts.append(segment("right_to_left", -1, 0, mu))
         parts.append((N + segment("left_to_right", 1, 0, mu))[:-1])
-        return make_path(tuple("".join(parts)), ballot(2 * n))
-    word = _segments(mu, top, drop_last=True)
-    steps = tuple(word)
-    kind = signed_ballot(n)
+        return make_path(tuple("".join(parts)), kind)
+    steps = tuple(_segments(mu, top, drop_last=True))
     slot = paths._signed_slot(steps, kind)
     if slot is None:
         return make_path(steps, kind)
@@ -205,9 +189,7 @@ def bounce_path(p: Path):
     end point down to the origin, and alphas[k] counts area-vector entries
     of absolute value k in any preimage.
     """
-    if p.kind.shape != "ballot" or p.kind.params[0] % 2 != 0:
-        raise ShapeMismatch("bounce path needs an even ballot path, got %s" % p.kind)
-    n = p.kind.params[0] // 2
+    n = type_spec("C").target_rank(p)
     tops = set()
     x = y = 0
     for s in p.steps:
@@ -264,7 +246,7 @@ def inverse_zeta_c(p: Path) -> Path:
     pins the merge order.
     """
     _, alphas = bounce_path(p)
-    n = p.kind.params[0] // 2
+    n = type_spec("C").target_rank(p)
     blocks = []
     idx = len(p.steps)
     for k in range(0, n + 1):
@@ -327,7 +309,7 @@ def inverse_zeta_c(p: Path) -> Path:
 
 def sweep_labels(p: Path) -> list[int]:
     """Arithmetic step labels driving the type-C sweep map."""
-    n = _rank_of_source(p, "C")
+    n = type_spec("C").source_rank(p)
     labels = [0]
     for s in p.steps[:-1]:
         labels.append(labels[-1] + (2 * n + 1 if s == N else -2 * n))
@@ -336,7 +318,7 @@ def sweep_labels(p: Path) -> list[int]:
 
 def sweep_c(p: Path) -> Path:
     """Reorder the steps of a square path by increasing label."""
-    n = _rank_of_source(p, "C")
+    n = type_spec("C").source_rank(p)
     labels = sweep_labels(p)
     bag = []
     for i, l in enumerate(labels):
@@ -355,40 +337,17 @@ def sweep_c(p: Path) -> Path:
 
 def inverse_by_table(p: Path, lattice_type: str, cap: int | None = None) -> Path:
     """Invert a zeta map by exhausting the source side."""
-    table = _zeta_table(lattice_type, _rank_of_target(p, lattice_type), cap)
+    table = _zeta_table(lattice_type, type_spec(lattice_type).target_rank(p), cap)
     key = paths.render_path(p)
     if key not in table:
         raise InternalError("%s is not a zeta image in type %s" % (key, lattice_type))
     return table[key]
 
 
-def _rank_of_target(p: Path, lattice_type: str) -> int:
-    if lattice_type in ("B", "C"):
-        if p.kind.shape != "ballot" or p.kind.params[0] % 2:
-            raise ShapeMismatch("type %s inverts ballot paths of even length" % lattice_type)
-        return p.kind.params[0] // 2
-    if lattice_type == "D":
-        if p.kind.shape != "signed_ballot":
-            raise ShapeMismatch("type D inverts signed ballot paths")
-        return p.kind.params[0]
-    if lattice_type == "A":
-        if p.kind.shape != "lattice" or p.kind.params[0] != p.kind.params[1] or not is_dyck(p):
-            raise ShapeMismatch("type A inverts Dyck paths")
-        return p.kind.params[0]
-    raise ValueError("unknown type %r" % lattice_type)
-
-
 @lru_cache(maxsize=16)
 def _zeta_table(lattice_type: str, n: int, cap: int | None):
-    if lattice_type in ("B", "C"):
-        kind = lattice(n, n)
-    elif lattice_type == "D":
-        kind = signed_lattice(n)
-    else:
-        kind = lattice(n, n)
-    table = {}
-    for src in enumerate_paths(kind, cap):
-        if lattice_type == "A" and not is_dyck(src):
-            continue
-        table[paths.render_path(zeta_path(src, lattice_type))] = src
-    return table
+    spec = type_spec(lattice_type)
+    sources = enumerate_paths(spec.source.kind(n), cap)
+    if spec.dyck:
+        sources = filter(is_dyck, sources)
+    return {paths.render_path(zeta_path(src, lattice_type)): src for src in sources}

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zetakit.cli import main
 
@@ -141,3 +144,71 @@ def test_output_byte_stable(capsys):
     _, first, _ = run(capsys, "zeta", "--type", "C", "--path", "NEEEENNNNNEE")
     _, second, _ = run(capsys, "zeta", "--type", "C", "--path", "NEEEENNNNNEE")
     assert first == second
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["verify", "--type", "C", "--n", "0"], 2, "rank error"),
+    (["verify", "--type", "C", "--n", "-3"], 2, "rank error"),
+    (["verify", "--type", "B", "--n", "1"], 2, "rank error"),
+    (["table", "--type", "D", "--n", "1", "--stats", "area"], 2, "rank error"),
+    (["table", "--type", "C", "--n", "-2", "--stats", "area"], 2, "rank error"),
+    (["zeta", "--type", "B", "--path", "NE"], 3, "shape error"),
+    (["zeta", "--type", "A", "--path", ""], 3, "shape error"),
+    (["zeta", "--type", "B", "--path", ""], 3, "shape error"),
+    (["zeta", "--type", "C", "--path", "", "--inverse"], 3, "shape error"),
+    (["zeta", "--type", "D", "--path", "N", "--labels", "[-1]"], 3, "shape error"),
+])
+def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error):
+    if argv[0] == "table":
+        argv = argv + ["--out", str(tmp_path / "t.csv")]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert error in err
+
+
+_TYPES = st.sampled_from("ABCD")
+_PATHS = st.one_of(st.text("NE", max_size=8), st.text("NE+- X", max_size=8))
+_LABELS = st.one_of(
+    st.lists(st.integers(-4, 4), max_size=4).map(json.dumps),
+    st.text("[]1-2,x", max_size=5),
+)
+_ZETA = st.builds(
+    lambda lt, path, labels, flags: ["zeta", "--type", lt, "--path", path] + labels + flags,
+    _TYPES,
+    _PATHS,
+    st.one_of(st.just([]), _LABELS.map(lambda text: ["--labels", text])),
+    st.lists(st.sampled_from(["--inverse", "--table", "--sweep"]), unique=True, max_size=2),
+)
+_CHECK_LISTS = st.lists(
+    st.sampled_from(["counting", "bijectivity", "uniform", "sweep_equiv", "bogus", ""]), max_size=2
+).map(",".join)
+_VERIFY = st.builds(
+    lambda lt, n, checks: ["verify", "--type", lt, "--n", str(n)] + checks,
+    _TYPES,
+    st.integers(-3, 3),
+    st.one_of(st.just([]), _CHECK_LISTS.map(lambda c: ["--check", c])),
+)
+_TABLE = st.builds(
+    lambda lt, n, stats: ["table", "--type", lt, "--n", str(n), "--stats", stats],
+    _TYPES,
+    st.integers(-3, 3),
+    st.lists(st.sampled_from(["area", "dinv", "dinv_b_exp", "x"]), max_size=2).map(",".join),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_ZETA, _VERIFY, _TABLE))
+def test_cli_argv_fuzz(tmp_path, argv):
+    if argv[0] == "table":
+        argv = argv + ["--out", str(tmp_path / "t.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert "error:" in err or "cap exceeded:" in err

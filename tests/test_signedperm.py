@@ -5,7 +5,6 @@ from zetakit.errors import NotBijective, RankMismatch
 from zetakit.signedperm import (
     SignedPermutation,
     all_signed_permutations,
-    is_type_D,
     weyl_group,
 )
 
@@ -45,9 +44,9 @@ def test_identity_and_inverse():
 
 def test_sign_changes_and_parity():
     assert sp(-3, 5, -1, 4, 2).sign_changes() == 2
-    assert is_type_D(sp(-3, 5, -1, 4, 2))
+    assert sp(-3, 5, -1, 4, 2).is_even()
     assert sp(1, 3, -2, -5, -4, 6).sign_changes() == 3
-    assert not is_type_D(sp(1, 3, -2, -5, -4, 6))
+    assert not sp(1, 3, -2, -5, -4, 6).is_even()
     assert SignedPermutation.identity(4).sign_changes() == 0
 
 

@@ -1,0 +1,57 @@
+import pytest
+
+import zetakit.torus as torus
+import zetakit.typespec as typespec
+from zetakit.errors import RankMismatch, ShapeMismatch
+from zetakit.paths import ballot, enumerate_paths, is_dyck, lattice, parse_path, signed_ballot
+from zetakit.typespec import LABELLED_CHECKS, type_spec
+from zetakit.verify import CHECK_NAMES
+
+
+def test_registry_values():
+    assert [type_spec(lt).min_rank for lt in "ABCD"] == [1, 2, 1, 2]
+    assert [type_spec(lt).modulus(4) for lt in "BCD"] == [9, 9, 7]
+    assert type_spec("D").label_type == "B"
+    assert type_spec("C").checks == CHECK_NAMES
+    assert type_spec("B").checks == type_spec("D").checks == ("counting", "bijectivity") + tuple(
+        c for c in CHECK_NAMES if c in LABELLED_CHECKS
+    )
+    assert type_spec("A").checks == ("counting", "bijectivity")
+    with pytest.raises(ValueError):
+        type_spec("A").modulus(3)
+    with pytest.raises(ValueError):
+        type_spec("E")
+
+
+def test_torus_reexports_registry_functions():
+    assert torus.modulus is typespec.modulus
+    assert torus.min_rank is typespec.min_rank
+
+
+@pytest.mark.parametrize("lt", "ABCD")
+def test_ranks_round_trip_through_kinds(lt):
+    spec = type_spec(lt)
+    for n in range(spec.min_rank, 5):
+        p = next(p for p in enumerate_paths(spec.source.kind(n)) if is_dyck(p))
+        q = next(q for q in enumerate_paths(spec.target.kind(n)) if is_dyck(q))
+        assert spec.source_rank(p) == spec.target_rank(q) == spec.check_rank(n) == n
+
+
+@pytest.mark.parametrize("lt,side,path", [
+    ("C", "source", parse_path("NNEE", ballot(4))),  # wrong kind
+    ("B", "target", parse_path("NNE", ballot(3))),  # odd length
+    ("D", "source", parse_path("NNEE", lattice(2, 2))),  # unsigned
+    ("A", "source", parse_path("ENNE", lattice(2, 2))),  # below the diagonal
+    ("B", "source", parse_path("NE", lattice(1, 1))),  # below the minimum rank
+    ("D", "target", parse_path("N", signed_ballot(1))),  # below the minimum rank
+    ("C", "source", parse_path("", lattice(0, 0))),  # rank 0
+])
+def test_wrong_path_is_shape_mismatch(lt, side, path):
+    with pytest.raises(ShapeMismatch):
+        getattr(type_spec(lt), side + "_rank")(path)
+
+
+@pytest.mark.parametrize("lt,n", [("A", 0), ("B", 1), ("C", 0), ("C", -3), ("D", 1)])
+def test_rank_below_minimum_is_rank_mismatch(lt, n):
+    with pytest.raises(RankMismatch):
+        type_spec(lt).check_rank(n)

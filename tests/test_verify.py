@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 import pytest
+
+import zetakit.verify as verify
 
 from zetakit.errors import CapExceeded
 from zetakit.paths import lattice, parse_path, signed_lattice
@@ -127,3 +130,27 @@ def test_corrupted_map_is_reported(monkeypatch):
     failing = [r for r in report.results if not r.passed]
     assert failing and failing[0].check == "bijectivity"
     assert failing[0].counterexample
+
+
+def test_cap_checked_before_any_check_runs(monkeypatch):
+    calls = []
+    monkeypatch.setitem(verify._CHECKS, "counting", lambda lt, n: calls.append(n))
+    with pytest.raises(CapExceeded):
+        run_suite("C", 99, ["counting"])
+    assert calls == []
+
+
+# sha256 of run_suite(lt, 3).to_json(); a change to any report byte shows here
+REPORT_SHA256 = {
+    "A": "2a4ee351125896cfbeb908224e55c30b2e0be48aa130b9b4420887eeb4a05022",
+    "B": "72de1db99a6579e5eb6ad369ad57c04e33c1e1806533d45dec60bf6b543887d8",
+    "C": "e09ef9a9d000901e60acdbf493e08beaae8782128e3eb1f75f402bb5af5f1008",
+    "D": "1e631fa3760880be2894393d2e688e59efaf5c74e2a266809f8aeb948ab1bf11",
+}
+
+
+@pytest.mark.parametrize("lt,rows", [("A", 6), ("B", 12), ("C", 27), ("D", 12)])
+def test_report_bytes_pinned(lt, rows):
+    text = run_suite(lt, 3).to_json()
+    assert len(json.loads(text)) == rows
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[lt]

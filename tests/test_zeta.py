@@ -1,6 +1,6 @@
 import pytest
 
-from zetakit.errors import ShapeMismatch
+from zetakit.errors import RankMismatch, ShapeMismatch
 from zetakit.paths import (
     ballot,
     enumerate_paths,
@@ -208,3 +208,11 @@ def test_inverse_by_table():
     assert render_path(inverse_by_table(q, "D")) == "E-EENNNNNE"
     b = parse_path(B_EXAMPLES[0][5], ballot(12))
     assert render_path(inverse_by_table(b, "B")) == B_EXAMPLES[0][0]
+
+
+@pytest.mark.parametrize("mu,lt", [((0,), "B"), ((), "C")])
+def test_area_vector_below_min_rank_is_typed(mu, lt):
+    with pytest.raises(RankMismatch):
+        is_valid_area_vector(mu, lt)
+    with pytest.raises(RankMismatch):
+        path_of_area_vector(mu, lt)
