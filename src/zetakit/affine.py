@@ -87,7 +87,10 @@ class AffinePermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "AffinePermutation":
-        return cls(tuple(json.loads(text)))
+        window = json.loads(text)
+        if not isinstance(window, list) or not all(type(v) is int for v in window):
+            raise NotBijective("%r is not a list of integers" % (text,))
+        return cls(tuple(window))
 
 
 def _residue(v: int, K: int) -> int:

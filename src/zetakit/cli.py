@@ -1,9 +1,10 @@
 """Command line front end: transform paths, run the verification suite,
 and export statistic tables.
 
-Exit codes: 2 for malformed input, bad flag combinations, a rank below
-the type's smallest or over the enumeration cap; 3 for shape or labelling
-violations; 1 for failed verification checks or I/O problems.
+Exit codes: 2 for malformed input, bad flag combinations, a check that
+does not apply to the type, a rank below the type's smallest or over the
+enumeration cap; 3 for shape or labelling violations; 1 for failed
+verification checks or I/O problems.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ def _cmd_zeta(args) -> int:
     n = (args.path.count("N") + args.path.count("E") + 1) // 2
     if args.inverse:
         target = parse_path(args.path, spec.target.kind(n))
-        if lt == "C" and not args.table:
-            preimage = zeta.inverse_zeta_c(target)
-        else:
-            preimage = zeta.inverse_by_table(target, lt)
+        preimage = zeta.inverse_zeta_c(target) if lt == "C" else zeta.inverse_by_table(target, lt)
         out = {"type": lt, "input": path_to_json(target), "preimage": path_to_json(preimage)}
         print(json.dumps(out))
         return 0
@@ -67,7 +65,7 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = None
-    if args.check:
+    if args.check is not None:
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
     report = run_suite(args.type, args.n, checks)
     print(report.to_json())
@@ -123,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
     z.add_argument("--path", required=True)
     z.add_argument("--labels", help="window text for a vertical labelling")
-    z.add_argument("--inverse", action="store_true")
-    z.add_argument("--table", action="store_true", help="invert by exhaustive lookup")
+    z.add_argument(
+        "--inverse", action="store_true", help="invert the map (by table lookup in types B and D)"
+    )
     z.add_argument("--sweep", action="store_true", help="include the sweep label trace")
     z.set_defaults(func=_cmd_zeta)
 
@@ -147,8 +146,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "zeta":
-        if args.inverse and args.type != "C" and not args.table:
-            parser.error("--inverse needs --type C or an explicit --table")
         if args.sweep and args.type != "C":
             parser.error("--sweep is only defined for --type C")
         if args.inverse and args.labels:

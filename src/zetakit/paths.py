@@ -86,10 +86,6 @@ def north_count(p: Path) -> int:
     return sum(1 for s in p.steps if s == N)
 
 
-def east_count(p: Path) -> int:
-    return len(p.steps) - north_count(p)
-
-
 def tokens(p: Path) -> tuple[str, ...]:
     out = list(p.steps)
     if p.sign_pos is not None:

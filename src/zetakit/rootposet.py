@@ -356,41 +356,34 @@ def antichain_to_ballot(roots, lattice_type: str, n: int) -> Path:
     raise NotAntichain("no ballot path of rank %d realizes %r" % (n, roots))
 
 
-def diag_validate(p: Path, w: SignedPermutation, lattice_type: str) -> bool:
-    """Inequality test for a diagonal labelling of a ballot path."""
+def _check_label_rank(p: Path, w: SignedPermutation, lattice_type: str) -> None:
     n = _ballot_rank(p, lattice_type)
     if w.n != n:
         raise RankMismatch("labels have rank %d, path has rank %d" % (w.n, n))
-    if lattice_type == "C":
-        for i, j in valleys(p):
-            other = w(n + 1 - j) if j <= n else w(n - j)
-            if not w(n + 1 - i) > other:
-                return False
-        return True
-    if lattice_type == "B":
-        for i, j in valleys(p):
-            if not w(n + 1 - i) > w(n + 1 - j):
-                return False
-        return True
-    if not w.is_even():
+
+
+def fits_antichain(w: SignedPermutation, roots, lattice_type: str) -> bool:
+    """True iff w lies in the Weyl group of the type and sends every root
+    of the antichain to a positive root."""
+    if lattice_type == "D" and not w.is_even():
         return False
-    eps = sign_of(p)
-    followed = _nth_north_followed_by_east(p, n)
-    for i, j in valleys(p):
-        below = w(n + 1 - i)
-        if j <= n - 1:
-            ok = below > w(n + 1 - j)
-        elif j == n:
-            ok = below > eps * w(1)
-            if not followed:
-                ok = ok and below > abs(w(1))
-        elif j == n + 1:
-            ok = below > -eps * w(1)
+    for r in roots:
+        if r.kind == "diff":
+            ok = w(r.j) > w(r.i)
+        elif r.kind == "sum":
+            ok = w(r.j) > -w(r.i)
         else:
-            ok = below > w(n - j)
+            ok = w(r.i) > 0
         if not ok:
             return False
     return True
+
+
+def diag_validate(p: Path, w: SignedPermutation, lattice_type: str) -> bool:
+    """True iff w is a diagonal labelling of the ballot path: it sends every
+    root of the path's antichain to a positive root."""
+    _check_label_rank(p, w, lattice_type)
+    return fits_antichain(w, ballot_to_antichain(p, lattice_type), lattice_type)
 
 
 @dataclass(frozen=True)
@@ -403,9 +396,11 @@ class ParkingFunction:
 
 
 def to_parking_function(p: Path, w: SignedPermutation, lattice_type: str) -> ParkingFunction:
-    if not diag_validate(p, w, lattice_type):
+    _check_label_rank(p, w, lattice_type)
+    roots = ballot_to_antichain(p, lattice_type)
+    if not fits_antichain(w, roots, lattice_type):
         raise InvalidLabelling("labels %s do not fit the valleys of %s" % (w, p))
-    return ParkingFunction(w, ballot_to_antichain(p, lattice_type))
+    return ParkingFunction(w, roots)
 
 
 def roots_to_json(roots) -> list[str]:

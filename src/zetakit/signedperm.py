@@ -105,14 +105,18 @@ def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
 
 @lru_cache(maxsize=32)
 def weyl_group(lattice_type: str, n: int) -> tuple[SignedPermutation, ...]:
-    """All elements of the finite Weyl group of the given type and rank."""
+    """All elements of the finite Weyl group of the given type and rank.
+
+    Types B and C have the same group and type D is its even subgroup, so
+    the three share one set of elements."""
     if lattice_type == "A":
         return tuple(
             SignedPermutation(p) for p in itertools.permutations(range(1, n + 1))
         )
-    elems = all_signed_permutations(n)
+    if lattice_type == "B":
+        return tuple(all_signed_permutations(n))
+    if lattice_type == "C":
+        return weyl_group("B", n)
     if lattice_type == "D":
-        return tuple(w for w in elems if w.is_even())
-    if lattice_type in ("B", "C"):
-        return tuple(elems)
+        return tuple(w for w in weyl_group("B", n) if w.is_even())
     raise ValueError("unknown type %r" % lattice_type)

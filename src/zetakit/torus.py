@@ -9,17 +9,12 @@ quotient is coordinatewise arithmetic modulo m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import paths
-from .errors import InternalError, InvalidLabelling, NotRepresentative
+from .affine import _residue
+from .errors import InvalidLabelling, NotRepresentative, RankMismatch
 from .paths import Path, east_counts, make_path, rises, sign_of
-from .rootposet import (
-    highest_root_vector,
-    is_positive_root_vector,
-    reflection_from_vector,
-    simple_root_vectors,
-)
+from .rootposet import highest_root_vector, reflection_from_vector, simple_root_vectors
 from .signedperm import SignedPermutation, weyl_group
 from .typespec import min_rank, modulus, type_spec  # noqa: F401  (min_rank is re-exported)
 
@@ -47,14 +42,6 @@ def torus_element(lattice_type: str, vector) -> TorusElement:
     vec = tuple(vector)
     m = modulus(lattice_type, len(vec))
     return TorusElement(lattice_type, tuple(v % m for v in vec))
-
-
-def lattice_lift(t: TorusElement) -> tuple[int, ...]:
-    """An integer lift; for types B and D the coordinate sum is even."""
-    lift = list(t.coords)
-    if t.lattice_type in ("B", "D") and sum(lift) % 2 != 0:
-        lift[0] -= t.mod
-    return tuple(lift)
 
 
 def torus_to_json(t: TorusElement) -> dict:
@@ -174,6 +161,13 @@ class VertPath:
     path: Path
     labels: SignedPermutation
 
+    def __post_init__(self):
+        north = self.path.steps.count(paths.N)
+        if self.labels.n != north:
+            raise RankMismatch(
+                "labels have rank %d, path has %d North steps" % (self.labels.n, north)
+            )
+
 
 def is_vertical_labelling(p: Path, v: SignedPermutation, lattice_type: str) -> bool:
     n = type_spec(lattice_type).source_rank(p)
@@ -253,59 +247,38 @@ def enumerate_vert(lt: str, n: int):
                 yield VertPath(p, w)
 
 
-@lru_cache(maxsize=16)
-def _action_table(lt: str, n: int):
-    """Per Weyl element, (slots, signs) arrays for fast vector actions."""
-    table = []
-    for w in weyl_group(lt, n):
-        slots = tuple(abs(v) - 1 for v in w.window)
-        signs = tuple(1 if v > 0 else -1 for v in w.window)
-        table.append((w, slots, signs))
-    return tuple(table)
-
-
 def canonicalize(t: TorusElement) -> tuple[tuple[int, ...], SignedPermutation]:
     """The unique pair (representative, group element) with u * lam = t and
-    u fixing the wall data positively.
+    u sending every wall root of lam to a positive root.
 
-    Brute-force orbit scan; the rank stays small enough that scanning the
-    full Weyl group is cheap and unambiguous.
+    Sorting the reduced coordinates by absolute value moves the point into
+    the dominant chamber.  In types B and D an odd coordinate sum is fixed
+    by the affine wall reflection of the last coordinate, and in type D an
+    odd number of sign changes moves onto the first coordinate.
     """
     lt, n, m = t.lattice_type, t.n, t.mod
     if lt == "D" and n < 3:
         # rank 2 splits into two strands and orbit representatives are no
         # longer unique, so there is nothing canonical to return
         raise NotRepresentative("type D canonicalization needs rank >= 3")
-    x = t.coords
-    lam = None
-    candidates = []
-    for w, slots, signs in _action_table(lt, n):
-        y = [0] * n
-        for i in range(n):
-            y[slots[i]] = (signs[i] * x[i]) % m
-        lifts = [tuple(y)]
-        if lt == "D" and y[0] != 0:
-            lifts.append((y[0] - m,) + tuple(y[1:]))
-        for cand in lifts:
-            if is_representative(cand, lt):
-                if lam is None:
-                    lam = cand
-                if tuple(v % m for v in cand) == tuple(y):
-                    candidates.append((cand, w))
-    if lam is None:
-        raise InternalError("no representative found for %r" % (t,))
-    walls = wall_roots(lam, lt)
-    hits = []
-    for cand, w in candidates:
-        if cand != lam:
-            continue
-        u = w.inverse()
-        if all(is_positive_root_vector(u.act(vec)) for vec in walls):
-            hits.append(u)
-    uniq = sorted(set(h.window for h in hits))
-    if len(uniq) != 1:
-        raise InternalError("canonical coset representative not unique for %r" % (t,))
-    return lam, SignedPermutation(uniq[0])
+    residues = [_residue(c, m) for c in t.coords]
+    # sort slots by |r|, ties by the slot index carrying the sign of r
+    order = sorted((abs(r), s if r >= 0 else -s) for s, r in enumerate(residues, start=1))
+    lam = [a for a, _ in order]
+    win = [s for _, s in order]
+    if lt != "C" and sum(lam) % 2:
+        # the coroot lattice has even coordinate sums: replace the last
+        # coordinate by m minus it, its negative modulo m, and flip its label
+        lam[-1] = m - lam[-1]
+        win[-1] = -win[-1]
+        if lam[-2] + lam[-1] == m and win[-1] > -win[-2]:
+            # on the affine wall; its reflection fixes lam, and only one of
+            # the two coset elements keeps the wall root positive
+            win[-2], win[-1] = -win[-1], -win[-2]
+    if lt == "D" and sum(1 for v in win if v < 0) % 2:
+        # the group is even: move the odd sign onto the first coordinate
+        lam[0], win[0] = -lam[0], -win[0]
+    return tuple(lam), SignedPermutation(tuple(win))
 
 
 def stabilizer(lam, lattice_type: str) -> tuple[SignedPermutation, ...]:

@@ -38,7 +38,9 @@ from .paths import (
 from .rootposet import (
     ParkingFunction,
     _nth_north_followed_by_east,
+    ballot_to_antichain,
     diag_validate,
+    fits_antichain,
     root_from_vector,
     to_parking_function,
 )
@@ -221,7 +223,8 @@ def _check_labelled_bijectivity(lt: str, n: int):
     diag_count = 0
     group = weyl_group(lt, n)
     for q in enumerate_paths(type_spec(lt).target.kind(n)):
-        diag_count += sum(1 for w in group if diag_validate(q, w, lt))
+        roots = ballot_to_antichain(q, lt)
+        diag_count += sum(1 for w in group if fits_antichain(w, roots, lt))
     if diag_count != count:
         return "labelled image misses %d targets" % (diag_count - count)
     return None
@@ -334,16 +337,19 @@ def _guard_cap(spec: TypeSpec, n: int, check: str) -> None:
 
 
 def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
-    """Run the requested checks that apply to the type, at every rank from
-    the type's smallest up to n_max.  A rank below the smallest raises
-    RankMismatch, and a rank over the enumeration cap raises CapExceeded,
-    both before any check runs."""
+    """Run the requested checks, by default every check that applies to the
+    type, at every rank from the type's smallest up to n_max.  An empty
+    request or a check that does not apply to the type raises ValueError, a
+    rank below the smallest raises RankMismatch, and a rank over the
+    enumeration cap raises CapExceeded, all before any check runs."""
     spec = type_spec(lattice_type)
     if checks is None:
-        checks = CHECK_NAMES
-    unknown = [c for c in checks if c not in _CHECKS]
-    if unknown:
-        raise ValueError("unknown checks: %s" % ", ".join(unknown))
+        checks = spec.checks
+    if not checks:
+        raise ValueError("no checks requested")
+    foreign = [c for c in checks if c not in spec.checks]
+    if foreign:
+        raise ValueError("checks %s do not apply to type %s" % (", ".join(foreign), lattice_type))
     spec.check_rank(n_max)
     plan = [(c, n) for c in spec.checks if c in checks for n in range(spec.min_rank, n_max + 1)]
     for name, n in plan:

@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
-from zetakit.paths import Path, north_count
-from zetakit.rootposet import Root, poset_leq, positive_roots, simple_root_vectors, to_vector
-from zetakit.signedperm import SignedPermutation
+from zetakit.errors import NotRepresentative
+from zetakit.paths import Path, north_count, sign_of, valleys
+from zetakit.rootposet import (
+    Root,
+    _nth_north_followed_by_east,
+    is_positive_root_vector,
+    poset_leq,
+    positive_roots,
+    simple_root_vectors,
+    to_vector,
+)
+from zetakit.signedperm import SignedPermutation, weyl_group
+from zetakit.torus import TorusElement, is_representative, wall_roots
 
 # ---------------------------------------------------------------------------
 # frozen worked examples
@@ -203,3 +214,96 @@ def area_prime_by_boxes(p: Path, w: SignedPermutation) -> int:
             if w(n + 1 - r) > right:
                 total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# torus orbits by scanning the whole Weyl group
+
+
+@lru_cache(maxsize=16)
+def _action_table(lt: str, n: int):
+    """Per Weyl element, (slots, signs) arrays for fast vector actions."""
+    table = []
+    for w in weyl_group(lt, n):
+        slots = tuple(abs(v) - 1 for v in w.window)
+        signs = tuple(1 if v > 0 else -1 for v in w.window)
+        table.append((w, slots, signs))
+    return tuple(table)
+
+
+def canonicalize_by_orbit_scan(t: TorusElement) -> tuple[tuple[int, ...], SignedPermutation]:
+    """The pair (representative, group element) of a torus point, found by
+    acting with every Weyl group element and keeping the one image that is
+    a representative, then the one coset element fixing the walls
+    positively.  Raises AssertionError if either is not unique."""
+    lt, n, m = t.lattice_type, t.n, t.mod
+    if lt == "D" and n < 3:
+        raise NotRepresentative("type D canonicalization needs rank >= 3")
+    x = t.coords
+    lam = None
+    candidates = []
+    for w, slots, signs in _action_table(lt, n):
+        y = [0] * n
+        for i in range(n):
+            y[slots[i]] = (signs[i] * x[i]) % m
+        lifts = [tuple(y)]
+        if lt == "D" and y[0] != 0:
+            lifts.append((y[0] - m,) + tuple(y[1:]))
+        for cand in lifts:
+            if is_representative(cand, lt):
+                if lam is None:
+                    lam = cand
+                if tuple(v % m for v in cand) == tuple(y):
+                    candidates.append((cand, w))
+    assert lam is not None, "no representative found for %r" % (t,)
+    walls = wall_roots(lam, lt)
+    hits = []
+    for cand, w in candidates:
+        if cand != lam:
+            continue
+        u = w.inverse()
+        if all(is_positive_root_vector(u.act(vec)) for vec in walls):
+            hits.append(u)
+    uniq = sorted(set(h.window for h in hits))
+    assert len(uniq) == 1, "canonical coset representative not unique for %r" % (t,)
+    return lam, SignedPermutation(uniq[0])
+
+
+# ---------------------------------------------------------------------------
+# diagonal labellings by the per-type valley inequalities
+
+
+def diag_validate_by_valleys(p: Path, w: SignedPermutation, lattice_type: str) -> bool:
+    """Inequality test for a diagonal labelling of a ballot path, read off
+    its valleys case by case instead of through its antichain."""
+    n = w.n
+    if lattice_type == "C":
+        for i, j in valleys(p):
+            other = w(n + 1 - j) if j <= n else w(n - j)
+            if not w(n + 1 - i) > other:
+                return False
+        return True
+    if lattice_type == "B":
+        for i, j in valleys(p):
+            if not w(n + 1 - i) > w(n + 1 - j):
+                return False
+        return True
+    if not w.is_even():
+        return False
+    eps = sign_of(p)
+    followed = _nth_north_followed_by_east(p, n)
+    for i, j in valleys(p):
+        below = w(n + 1 - i)
+        if j <= n - 1:
+            ok = below > w(n + 1 - j)
+        elif j == n:
+            ok = below > eps * w(1)
+            if not followed:
+                ok = ok and below > abs(w(1))
+        elif j == n + 1:
+            ok = below > -eps * w(1)
+        else:
+            ok = below > w(n - j)
+        if not ok:
+            return False
+    return True

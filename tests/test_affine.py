@@ -57,6 +57,12 @@ def test_from_window_golden():
         from_window((1, 1, 3))
 
 
+@pytest.mark.parametrize("text", ["5", "[1.5]", "[\"a\"]", "{}", "null"])
+def test_from_text_rejects_non_windows(text):
+    with pytest.raises(NotBijective):
+        AffinePermutation.from_text(text)
+
+
 def test_translation_golden():
     assert translation((2, 1, 0, -1, -2, 1)).window == C_T_MU
     assert translation((0, 0, 0)) == AffinePermutation.identity(3)

@@ -46,7 +46,7 @@ def test_zeta_type_d(capsys):
 
 def test_zeta_inverse_table_mode(capsys):
     code, out, _ = run(
-        capsys, "zeta", "--type", "D", "--path", "NENNENENE-", "--inverse", "--table"
+        capsys, "zeta", "--type", "D", "--path", "NENNENENE-", "--inverse"
     )
     assert code == 0
     assert json.loads(out)["preimage"]["steps"] == "E-EENNNNNE"
@@ -71,8 +71,12 @@ def test_shape_error_exit_code(capsys):
 
 
 def test_inverse_flag_combinations(capsys):
+    # types B and D invert by table lookup, with no flag to ask for it
+    code, out, _ = run(capsys, "zeta", "--type", "B", "--path", "NNENNENENENE", "--inverse")
+    assert code == 0
+    assert json.loads(out)["preimage"]["steps"] == "NEEEENNNNNEE"
     with pytest.raises(SystemExit) as exc:
-        main(["zeta", "--type", "B", "--path", "NNENNENENENE", "--inverse"])
+        main(["zeta", "--type", "C", "--path", "NNENENNENENE", "--inverse", "--labels", "[1]"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["zeta", "--type", "D", "--path", "E-EENNNNNE", "--sweep"])
@@ -157,6 +161,10 @@ def test_output_byte_stable(capsys):
     (["zeta", "--type", "B", "--path", ""], 3, "shape error"),
     (["zeta", "--type", "C", "--path", "", "--inverse"], 3, "shape error"),
     (["zeta", "--type", "D", "--path", "N", "--labels", "[-1]"], 3, "shape error"),
+    (["verify", "--type", "A", "--n", "3", "--check", "uniform"], 2, "parse error"),
+    (["verify", "--type", "C", "--n", "2", "--check", ","], 2, "parse error"),
+    (["verify", "--type", "C", "--n", "2", "--check", ""], 2, "parse error"),
+    (["verify", "--type", "B", "--n", "2", "--check", "counting,sweep_equiv"], 2, "parse error"),
 ])
 def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error):
     if argv[0] == "table":

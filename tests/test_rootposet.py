@@ -9,7 +9,9 @@ from zetakit.rootposet import (
     antichain_to_ballot,
     ballot_to_antichain,
     diag_validate,
+    fits_antichain,
     is_antichain,
+    is_positive_root_vector,
     parse_root,
     poset_leq,
     positive_roots,
@@ -24,6 +26,7 @@ from oracles import (
     C_ANTICHAIN,
     D_ANTICHAINS,
     count_antichains,
+    diag_validate_by_valleys,
     leq_by_definition,
     sp,
 )
@@ -146,6 +149,30 @@ def test_diag_iff_positive_image(lt, n):
         for w in group:
             expected = all(is_positive_root_vector(w.act(v)) for v in vecs)
             assert diag_validate(p, w, lt) == expected
+
+
+@pytest.mark.parametrize("lt,n", [
+    ("C", 1), ("C", 2), ("C", 3), ("C", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("D", 2), ("D", 3), ("D", 4),
+])
+def test_diag_validate_matches_valley_oracle(lt, n):
+    """Antichain positivity agrees with the per-type valley inequalities on
+    every ballot path and every signed permutation, odd ones included."""
+    kind = signed_ballot(n) if lt == "D" else ballot(2 * n)
+    group = weyl_group("B", n)
+    for p in enumerate_paths(kind):
+        for w in group:
+            assert diag_validate(p, w, lt) == diag_validate_by_valleys(p, w, lt), (p, w)
+
+
+@pytest.mark.parametrize("lt", "BCD")
+def test_positivity_rule_matches_root_vectors(lt):
+    for n in range(2, 5):
+        for r in positive_roots(lt, n):
+            vec = to_vector(r, n)
+            for w in weyl_group(lt, n):
+                assert fits_antichain(w, (r,), lt) == is_positive_root_vector(w.act(vec)), (r, w)
 
 
 def test_park_count_c3():

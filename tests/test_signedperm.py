@@ -100,3 +100,9 @@ def test_weyl_group_sizes():
     assert len(weyl_group("D", 3)) == 24
     assert len(weyl_group("A", 4)) == 24
     assert len(list(all_signed_permutations(2))) == 8
+
+
+def test_weyl_groups_share_elements():
+    assert weyl_group("C", 3) is weyl_group("B", 3)
+    ids = {id(w) for w in weyl_group("B", 3)}
+    assert all(id(w) in ids for w in weyl_group("D", 3))

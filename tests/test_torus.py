@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from zetakit.errors import NotRepresentative, ShapeMismatch
+from zetakit.errors import NotRepresentative, RankMismatch, ShapeMismatch
 from zetakit.paths import (
     enumerate_paths,
     lattice,
@@ -29,7 +30,15 @@ from zetakit.torus import (
     wall_roots,
 )
 
-from oracles import B_EXAMPLES, C_LABELS, C_PATH, C_TORUS, D_EXAMPLES, sp
+from oracles import (
+    B_EXAMPLES,
+    C_LABELS,
+    C_PATH,
+    C_TORUS,
+    D_EXAMPLES,
+    canonicalize_by_orbit_scan,
+    sp,
+)
 
 
 def test_modulus():
@@ -206,6 +215,36 @@ def test_canonicalize_against_vert_table():
             coords = tuple(rng.randrange(m) for _ in range(n))
             t = torus_element(lt, coords)
             assert canonicalize(t) == table[coords]
+
+
+@pytest.mark.parametrize("lt,n", [("C", 1), ("C", 2), ("C", 3), ("B", 2), ("B", 3), ("D", 3)])
+def test_canonicalize_matches_orbit_scan(lt, n):
+    for coords in itertools.product(range(modulus(lt, n)), repeat=n):
+        t = torus_element(lt, coords)
+        assert canonicalize(t) == canonicalize_by_orbit_scan(t), coords
+
+
+@pytest.mark.parametrize("n,samples", [(4, 40), (5, 12)])
+def test_canonicalize_matches_orbit_scan_sampled(n, samples):
+    rng = random.Random(100 + n)
+    for lt in "BCD":
+        m = modulus(lt, n)
+        for _ in range(samples):
+            t = torus_element(lt, [rng.randrange(m) for _ in range(n)])
+            assert canonicalize(t) == canonicalize_by_orbit_scan(t), t
+
+
+def test_canonicalize_d_rank_2_has_no_representative():
+    with pytest.raises(NotRepresentative):
+        canonicalize(torus_element("D", (1, 2)))
+
+
+def test_vert_path_label_rank():
+    p = parse_path("NNEE", lattice(2, 2))
+    with pytest.raises(RankMismatch):
+        VertPath(p, SignedPermutation((1, 2, 3)))
+    with pytest.raises(RankMismatch):
+        VertPath(parse_path("E-EENNNNNE", signed_lattice(5)), sp(1, 2, 3, 4))
 
 
 def test_canonical_u_fixes_walls_positively():

@@ -112,6 +112,20 @@ def test_run_suite_unknown_check():
         run_suite("C", 2, ["nonsense"])
 
 
+@pytest.mark.parametrize("lt,checks", [
+    ("A", ["uniform"]),
+    ("B", ["counting", "sweep_equiv"]),
+    ("D", ["stats_identity"]),
+    ("C", []),
+])
+def test_run_suite_rejects_checks_that_do_not_apply(monkeypatch, lt, checks):
+    calls = []
+    monkeypatch.setitem(verify._CHECKS, "counting", lambda lt, n: calls.append(n))
+    with pytest.raises(ValueError):
+        run_suite(lt, 2, checks)
+    assert calls == []
+
+
 def test_corrupted_map_is_reported(monkeypatch):
     import zetakit.zeta as zmod
 
