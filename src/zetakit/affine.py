@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LatticeViolation, NotBijective, RankMismatch
+from .errors import LatticeViolation, NotBijective, RankMismatch, json_field
 from .signedperm import SignedPermutation
 
 
@@ -260,7 +260,8 @@ def affine_to_json(w: AffinePermutation, lattice_type: str) -> dict:
 
 
 def affine_from_json(d: dict) -> AffinePermutation:
-    w = from_window(d["window"], d.get("n"))
-    if not in_group(w, d["type"]):
-        raise LatticeViolation("window %r is not in the type %s group" % (w.window, d["type"]))
+    w = from_window(json_field(d, "window"), d.get("n"))
+    lattice_type = json_field(d, "type")
+    if not in_group(w, lattice_type):
+        raise LatticeViolation("window %r is not in the type %s group" % (w.window, lattice_type))
     return w

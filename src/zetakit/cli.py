@@ -26,7 +26,7 @@ from .errors import (
 )
 from .paths import enumerate_paths, is_dyck, parse_path, path_to_json, render_path
 from .signedperm import SignedPermutation
-from .torus import VertPath, is_vertical_labelling
+from .torus import vert
 from .typespec import type_spec
 from .verify import run_suite
 
@@ -53,10 +53,8 @@ def _cmd_zeta(args) -> int:
         "zeta": path_to_json(zeta.zeta_path(source, lt)),
     }
     if args.labels is not None:
-        labels = SignedPermutation.from_text(args.labels)
-        if not is_vertical_labelling(source, labels, lt):
-            raise InvalidLabelling("labels %s are not a vertical labelling" % labels)
-        out["reading_word"] = list(zeta.reading_word(VertPath(source, labels), lt).window)
+        vp = vert(source, SignedPermutation.from_text(args.labels), lt)
+        out["reading_word"] = list(zeta.reading_word(vp, lt).window)
     if args.sweep:
         out["sweep_labels"] = zeta.sweep_labels(source)
     print(json.dumps(out))

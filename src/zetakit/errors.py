@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a JSON field lookup."""
 
 
 class ZetakitError(Exception):
@@ -51,3 +51,12 @@ class TypeMismatch(ZetakitError):
 
 class InternalError(ZetakitError):
     """An invariant that should be unreachable was violated."""
+
+
+def json_field(d, key: str):
+    """d[key] of a decoded JSON object; MalformedToken when d has no such key
+    or is not an object."""
+    try:
+        return d[key]
+    except (KeyError, TypeError):
+        raise MalformedToken("no key %r in %r" % (key, d)) from None

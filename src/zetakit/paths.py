@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapExceeded, MalformedToken, ShapeMismatch, ShapeViolation
+from .errors import CapExceeded, MalformedToken, ShapeMismatch, ShapeViolation, json_field
 
 N = "N"
 E = "E"
@@ -217,18 +217,18 @@ def path_to_json(p: Path) -> dict:
 
 
 def path_from_json(d: dict) -> Path:
-    shape = d["kind"]
+    shape = json_field(d, "kind")
     if shape == "lattice":
-        kind = lattice(d["a"], d["b"])
+        kind = lattice(json_field(d, "a"), json_field(d, "b"))
     elif shape == "ballot":
-        kind = ballot(d["len"])
+        kind = ballot(json_field(d, "len"))
     elif shape == "signed_lattice":
-        kind = signed_lattice(d["n"])
+        kind = signed_lattice(json_field(d, "n"))
     elif shape == "signed_ballot":
-        kind = signed_ballot(d["n"])
+        kind = signed_ballot(json_field(d, "n"))
     else:
         raise MalformedToken("unknown kind %r" % shape)
-    return parse_path(d["steps"], kind)
+    return parse_path(json_field(d, "steps"), kind)
 
 
 def rises(p: Path) -> list[int]:
@@ -358,9 +358,9 @@ def count_paths(kind: PathKind) -> int:
     raise ShapeViolation("unknown path kind %s" % kind.shape)
 
 
-def enumerate_paths(kind: PathKind, cap: int | None = None) -> Iterator[Path]:
+def enumerate_paths(kind: PathKind) -> Iterator[Path]:
     """Complete, duplicate-free stream in lexicographic text order."""
-    limit = enumeration_cap() if cap is None else cap
+    limit = enumeration_cap()
     total = count_paths(kind)
     if total > limit:
         raise CapExceeded("%s has %d paths, cap is %d" % (kind, total, limit))

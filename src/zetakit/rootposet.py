@@ -197,16 +197,6 @@ def _ballot_rank(p: Path, lattice_type: str) -> int:
     return type_spec(lattice_type).target_rank(p)
 
 
-def _nth_north_followed_by_east(p: Path, n: int) -> bool:
-    seen = 0
-    for k, s in enumerate(p.steps):
-        if s == paths.N:
-            seen += 1
-            if seen == n:
-                return k + 1 < len(p.steps) and p.steps[k + 1] == paths.E
-    return False
-
-
 def _pm_root(lattice_type: str, a: int, coeff: int) -> Root:
     """The root e_a + coeff*e_1 with coeff in {+1, -1} and a >= 2."""
     return Root(lattice_type, "sum" if coeff > 0 else "diff", 1, a)
@@ -236,7 +226,8 @@ def ballot_to_antichain(p: Path, lattice_type: str) -> tuple[Root, ...]:
                     out.append(Root("B", "sum", a, b))
     else:
         eps = sign_of(p)
-        followed = _nth_north_followed_by_east(p, n)
+        # the n-th North step is followed by an East step iff that step is signed
+        followed = p.sign_pos is not None
         for i, j in valleys(p):
             if j <= n - 1:
                 out.append(Root("D", "diff", n + 1 - j, n + 1 - i))

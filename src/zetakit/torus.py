@@ -3,16 +3,21 @@ labelled paths and the bijection onto the torus.
 
 The torus of rank n is the coroot lattice modulo m times itself, where
 m = 2n+1 in types B and C and m = 2n-1 in type D.  Since m is odd the
-quotient is coordinatewise arithmetic modulo m.
+quotient is coordinatewise arithmetic modulo m.  A torus point is a
+representative lam of the dilated fundamental alcove (`alcove`) with a
+Weyl element u sending every wall through lam to a positive root; the
+vertical labels of a path are u up to a sign twist.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import paths
 from .affine import _residue
-from .errors import InvalidLabelling, NotRepresentative, RankMismatch
+from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_field
 from .paths import Path, east_counts, make_path, rises, sign_of
 from .rootposet import highest_root_vector, reflection_from_vector, simple_root_vectors
 from .signedperm import SignedPermutation, weyl_group
@@ -25,6 +30,7 @@ class TorusElement:
     coords: tuple[int, ...]
 
     def __post_init__(self):
+        type_spec(self.lattice_type).check_rank(len(self.coords))
         m = self.mod
         if any(not 0 <= c < m for c in self.coords):
             raise NotRepresentative("coords %r not reduced mod %d" % (self.coords, m))
@@ -49,7 +55,32 @@ def torus_to_json(t: TorusElement) -> dict:
 
 
 def torus_from_json(d: dict) -> TorusElement:
-    return torus_element(d["type"], d["coords"])
+    return torus_element(json_field(d, "type"), json_field(d, "coords"))
+
+
+Wall = namedtuple("Wall", "root i a j b bound")
+
+
+@lru_cache(maxsize=64)
+def alcove(lattice_type: str, n: int) -> tuple[Wall, ...]:
+    """The walls of the dilated fundamental alcove at rank n: the simple
+    roots with bound 0 and the negated highest root with bound -m, ordered
+    first simple root, -theta, the rest.  A Wall's root has entry a at slot
+    i and b at slot j (b = 0 for one term), and x is inside it iff
+    a*x[i] + b*x[j] >= bound.  RankMismatch below the smallest rank."""
+    spec = type_spec(lattice_type)
+    m = spec.modulus(spec.check_rank(n))
+    simples = simple_root_vectors(lattice_type, n)
+    theta = tuple(-c for c in highest_root_vector(lattice_type, n))
+    walls = []
+    for root, bound in ((simples[0], 0), (theta, -m), *((s, 0) for s in simples[1:])):
+        (i, a), (j, b) = ([(k, c) for k, c in enumerate(root) if c] + [(0, 0)])[:2]
+        walls.append(Wall(root, i, a, j, b, bound))
+    return tuple(walls)
+
+
+def _walls_through(lam: tuple[int, ...], lattice_type: str) -> list[Wall]:
+    return [w for w in alcove(lattice_type, len(lam)) if w.a * lam[w.i] + w.b * lam[w.j] == w.bound]
 
 
 def lambda_of_path(p: Path, lattice_type: str) -> tuple[int, ...]:
@@ -69,25 +100,12 @@ def lambda_of_path(p: Path, lattice_type: str) -> tuple[int, ...]:
 
 
 def is_representative(lam, lattice_type: str) -> bool:
+    """True iff lam lies in the coroot lattice and inside every alcove wall."""
     lam = tuple(lam)
-    n = len(lam)
-    if lattice_type == "C":
-        return all(0 <= v <= n for v in lam) and all(a <= b for a, b in zip(lam, lam[1:]))
-    if lattice_type == "B":
-        return (
-            lam[0] >= 0
-            and all(a <= b for a, b in zip(lam, lam[1:]))
-            and lam[-2] + lam[-1] <= 2 * n + 1
-            and sum(lam) % 2 == 0
-        )
-    if lattice_type == "D":
-        return (
-            abs(lam[0]) <= lam[1]
-            and all(a <= b for a, b in zip(lam[1:], lam[2:]))
-            and lam[-2] + lam[-1] <= 2 * n - 1
-            and sum(lam) % 2 == 0
-        )
-    raise ValueError("unsupported type %r" % lattice_type)
+    walls = alcove(lattice_type, len(lam))
+    if type_spec(lattice_type).even_sums and sum(lam) % 2:
+        return False
+    return all(a * lam[i] + b * lam[j] >= bound for _, i, a, j, b, bound in walls)
 
 
 def path_of_lambda(lam, lattice_type: str) -> Path:
@@ -97,60 +115,32 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
     n = spec.check_rank(len(lam))
     if not is_representative(lam, lattice_type):
         raise NotRepresentative("%r does not represent an orbit in type %s" % (lam, lattice_type))
-    if lattice_type == "C":
-        pi = lam
-        sign = 1
-    else:
-        full = spec.modulus(n)
-        pi = [abs(lam[0])] + [abs(v) for v in lam[1 : n - 1]]
+    pi = lam
+    if lattice_type != "C":
+        pi = [abs(v) for v in lam[: n - 1]]
         head = sum(pi[: n - 2]) % 2
-        last2 = lam[-2] + lam[-1] if head == 0 else full + lam[-2] - lam[-1]
+        last2 = lam[-2] + lam[-1] if head == 0 else spec.modulus(n) + lam[-2] - lam[-1]
         if last2 % 2 != 0:
             raise NotRepresentative("parity mismatch in %r" % (lam,))
         pi.append(last2 // 2)
-        sign = -1 if (lattice_type == "D" and lam[0] < 0) else 1
     if any(a > b for a, b in zip(pi, pi[1:])):
         raise NotRepresentative("east counts %r not increasing" % (pi,))
     kind = spec.source.kind(n)
     emax = paths._expected_counts(kind)[0]
     if pi[-1] > emax:
         raise NotRepresentative("east count %d exceeds width %d" % (pi[-1], emax))
-    steps = []
-    prev = 0
-    for v in pi:
-        steps.extend([paths.E] * (v - prev))
-        steps.append(paths.N)
-        prev = v
-    steps.extend([paths.E] * (emax - prev))
+    # the k-th North step (from 0) has pi[k] East steps and k North steps before it
+    steps = [paths.E] * emax
+    for k, v in enumerate(pi):
+        steps.insert(v + k, paths.N)
+    # only type D has representatives with a negative first coordinate
     slot = paths._signed_slot(tuple(steps), kind)
-    return make_path(steps, kind, slot, sign if slot is not None else 1)
+    return make_path(steps, kind, slot, -1 if lam[0] < 0 else 1)
 
 
 def wall_roots(lam, lattice_type: str) -> tuple[tuple[int, ...], ...]:
-    """Vectors of the walls of the scaled fundamental alcove containing
-    the representative: simple roots plus possibly the negated highest
-    root."""
-    lam = tuple(lam)
-    n = len(lam)
-    simples = simple_root_vectors(lattice_type, n)
-    out = []
-    if lattice_type == "C":
-        if lam[0] == 0:
-            out.append(simples[0])
-    elif lattice_type == "B":
-        if lam[0] == 0:
-            out.append(simples[0])
-        if lam[-2] + lam[-1] == 2 * n + 1:
-            out.append(tuple(-c for c in highest_root_vector("B", n)))
-    else:
-        if lam[0] == -lam[1]:
-            out.append(simples[0])
-        if lam[-2] + lam[-1] == 2 * n - 1:
-            out.append(tuple(-c for c in highest_root_vector("D", n)))
-    for i in range(1, n):
-        if lam[i - 1] == lam[i]:
-            out.append(simples[i])
-    return tuple(out)
+    """Vectors of the alcove walls through lam, in the order of `alcove`."""
+    return tuple(w.root for w in _walls_through(tuple(lam), lattice_type))
 
 
 @dataclass(frozen=True)
@@ -162,27 +152,56 @@ class VertPath:
     labels: SignedPermutation
 
     def __post_init__(self):
-        north = self.path.steps.count(paths.N)
-        if self.labels.n != north:
-            raise RankMismatch(
-                "labels have rank %d, path has %d North steps" % (self.labels.n, north)
-            )
+        n, north = self.labels.n, self.path.steps.count(paths.N)
+        if n != north:
+            raise RankMismatch("labels have rank %d, path has %d North steps" % (n, north))
+
+
+def _twist_signs(p: Path, lam: tuple[int, ...], lattice_type: str) -> list[int]:
+    """The signs label_twist puts on the label slots: where the coroot
+    lattice has even sums the last slot flips when lam[-2] + lam[-1] is odd
+    (lambda_of_path then reflects the last coordinate in the affine wall),
+    and the first slot flips on a negative path."""
+    signs = [1] * len(lam)
+    if type_spec(lattice_type).even_sums and (lam[-2] + lam[-1]) % 2:
+        signs[-1] = -1
+    if sign_of(p) < 0:
+        signs[0] = -1
+    return signs
+
+
+def _vertical_rule(p: Path, lattice_type: str):
+    """The test a label window must pass to label p vertically.
+
+    In type A the labels increase up each column.  In types B, C and D the
+    twisted labels u must lie in the Weyl group and send every alcove wall
+    through lambda_of_path(p) to a positive root; a root c goes to a
+    positive root under u iff sum c_i u(i) > 0, and u(i) = s_i v(i) for the
+    twist signs s, so the twist is folded into the coefficients."""
+    if lattice_type == "A":
+        forms = [(i - 1, -1, i, 1) for i in rises(p)]
+        parity = None
+    else:
+        lam = lambda_of_path(p, lattice_type)
+        s = _twist_signs(p, lam, lattice_type)
+        forms = [(w.i, w.a * s[w.i], w.j, w.b * s[w.j]) for w in _walls_through(lam, lattice_type)]
+        parity = s.count(-1) % 2 if type_spec(lattice_type).even_signs else None
+
+    def fits(win) -> bool:
+        if parity is not None and sum(1 for x in win if x < 0) % 2 != parity:
+            return False
+        return all(a * win[i] + b * win[j] > 0 for i, a, j, b in forms)
+
+    return fits
 
 
 def is_vertical_labelling(p: Path, v: SignedPermutation, lattice_type: str) -> bool:
+    """True iff v, a permutation in type A and a signed permutation
+    otherwise, labels the North steps of p vertically (_vertical_rule)."""
     n = type_spec(lattice_type).source_rank(p)
-    if v.n != n or not all(v(i) < v(i + 1) for i in rises(p)):
+    if v.n != n or (lattice_type == "A" and not v.is_permutation()):
         return False
-    if lattice_type == "A":
-        return v.is_permutation()
-    if lattice_type in ("B", "C"):
-        return not (p.steps[0] == paths.N and v(1) < 0)
-    lam = lambda_of_path(p, "D")
-    if p.steps[0] == paths.N and p.steps[1] == paths.N and not abs(v(1)) < v(2):
-        return False
-    prod = 1 if v.sign_changes() % 2 == 0 else -1
-    want = sign_of(p) * (-1) ** ((lam[-2] + lam[-1]) % 2)
-    return prod == want
+    return _vertical_rule(p, lattice_type)(v.window)
 
 
 def vert(p: Path, v: SignedPermutation, lattice_type: str) -> VertPath:
@@ -192,27 +211,24 @@ def vert(p: Path, v: SignedPermutation, lattice_type: str) -> VertPath:
 
 
 def label_twist(vp: VertPath, lattice_type: str) -> SignedPermutation:
-    """The group element acting on the representative: the labels, with
-    type-specific sign twists at the first and last slots."""
-    v = vp.labels
-    if lattice_type in ("A", "C"):
-        return v
-    n = v.n
-    lam = lambda_of_path(vp.path, lattice_type)
-    flip_last = (lam[-2] + lam[-1]) % 2 != 0
-    win = list(v.window)
-    if flip_last:
-        win[n - 1] = -win[n - 1]
-    if lattice_type == "D" and sign_of(vp.path) < 0:
-        win[0] = -win[0]
-    return SignedPermutation(tuple(win))
+    """The group element acting on the representative: the labels with the
+    signs of _twist_signs."""
+    if lattice_type == "A":
+        return vp.labels
+    return _twisted(vp, lambda_of_path(vp.path, lattice_type), lattice_type)
+
+
+def _twisted(vp: VertPath, lam: tuple[int, ...], lattice_type: str) -> SignedPermutation:
+    s = _twist_signs(vp.path, lam, lattice_type)
+    if -1 not in s:
+        return vp.labels
+    return SignedPermutation(tuple(a * b for a, b in zip(s, vp.labels.window)))
 
 
 def to_torus(vp: VertPath, lattice_type: str) -> TorusElement:
     """The torus element of a vertically labelled path."""
     lam = lambda_of_path(vp.path, lattice_type)
-    u = label_twist(vp, lattice_type)
-    return torus_element(lattice_type, u.act(lam))
+    return torus_element(lattice_type, _twisted(vp, lam, lattice_type).act(lam))
 
 
 def enumerate_vert(lt: str, n: int):
@@ -222,28 +238,9 @@ def enumerate_vert(lt: str, n: int):
         src = filter(paths.is_dyck, src)
     group = weyl_group(spec.label_type, n)
     for p in src:
-        rr = rises(p)
-        starts_n = bool(p.steps) and p.steps[0] == paths.N
-        starts_nn = starts_n and len(p.steps) > 1 and p.steps[1] == paths.N
-        if lt == "D":
-            lam = lambda_of_path(p, "D")
-            want = sign_of(p) * (-1) ** ((lam[-2] + lam[-1]) % 2)
+        fits = _vertical_rule(p, lt)
         for w in group:
-            win = w.window
-            if any(w(i) >= w(i + 1) for i in rr):
-                continue
-            if lt == "A":
-                if all(v > 0 for v in win):
-                    yield VertPath(p, w)
-                continue
-            if lt in ("B", "C"):
-                if not (starts_n and win[0] < 0):
-                    yield VertPath(p, w)
-                continue
-            if starts_nn and not abs(win[0]) < win[1]:
-                continue
-            prod = -1 if w.sign_changes() % 2 else 1
-            if prod == want:
+            if fits(w.window):
                 yield VertPath(p, w)
 
 
@@ -261,12 +258,13 @@ def canonicalize(t: TorusElement) -> tuple[tuple[int, ...], SignedPermutation]:
         # rank 2 splits into two strands and orbit representatives are no
         # longer unique, so there is nothing canonical to return
         raise NotRepresentative("type D canonicalization needs rank >= 3")
+    spec = type_spec(lt)
     residues = [_residue(c, m) for c in t.coords]
     # sort slots by |r|, ties by the slot index carrying the sign of r
     order = sorted((abs(r), s if r >= 0 else -s) for s, r in enumerate(residues, start=1))
     lam = [a for a, _ in order]
     win = [s for _, s in order]
-    if lt != "C" and sum(lam) % 2:
+    if spec.even_sums and sum(lam) % 2:
         # the coroot lattice has even coordinate sums: replace the last
         # coordinate by m minus it, its negative modulo m, and flip its label
         lam[-1] = m - lam[-1]
@@ -275,7 +273,7 @@ def canonicalize(t: TorusElement) -> tuple[tuple[int, ...], SignedPermutation]:
             # on the affine wall; its reflection fixes lam, and only one of
             # the two coset elements keeps the wall root positive
             win[-2], win[-1] = -win[-1], -win[-2]
-    if lt == "D" and sum(1 for v in win if v < 0) % 2:
+    if spec.even_signs and sum(1 for v in win if v < 0) % 2:
         # the group is even: move the odd sign onto the first coordinate
         lam[0], win[0] = -lam[0], -win[0]
     return tuple(lam), SignedPermutation(tuple(win))

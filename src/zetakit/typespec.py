@@ -3,8 +3,9 @@
 Types B and C map square lattice paths to ballot paths of length 2n, type
 D maps signed lattice paths to signed ballot paths, and type A maps Dyck
 paths to Dyck paths.  A spec also fixes the smallest rank its model
-supports, the torus modulus, the Weyl type the vertical labels run over
-and the verification checks that apply.  The other modules read the rank
+supports, the torus modulus, the Weyl type the vertical labels run over,
+the verification checks that apply and the parities of its coroot lattice
+and Weyl group.  The other modules read the rank
 of a source or target path, and check a rank against its type, only
 through this module.
 """
@@ -49,6 +50,8 @@ class TypeSpec:
     modulus_shift: int | None  # the torus modulus is 2n + shift; None: no torus
     label_type: str
     checks: tuple[str, ...]
+    even_sums: bool = False  # the coroot lattice has even coordinate sums
+    even_signs: bool = False  # Weyl group elements change an even number of signs
 
     def source_rank(self, p: Path) -> int:
         """The rank of a source-side path; ShapeMismatch for any other path."""
@@ -85,7 +88,7 @@ _SIGNED_CHECKS = ("counting", "bijectivity", "labelled_bijectivity", "rise_valle
 
 TYPES = {
     "A": TypeSpec("A", SQUARE, SQUARE, True, 1, None, "A", ("counting", "bijectivity")),
-    "B": TypeSpec("B", SQUARE, EVEN_BALLOT, False, 2, 1, "B", _SIGNED_CHECKS),
+    "B": TypeSpec("B", SQUARE, EVEN_BALLOT, False, 2, 1, "B", _SIGNED_CHECKS, True),
     "C": TypeSpec(
         "C", SQUARE, EVEN_BALLOT, False, 1, 1, "C",
         (
@@ -100,9 +103,9 @@ TYPES = {
             "anderson",
         ),
     ),
-    # labels of a type D path run over the full signed group; the even-sign
-    # constraint is absorbed by the sign-product condition
-    "D": TypeSpec("D", SIGNED_LATTICE, SIGNED_BALLOT, False, 2, -1, "B", _SIGNED_CHECKS),
+    # labels of a type D path run over the full signed group; their sign
+    # twist (torus.label_twist) is the element of the even group
+    "D": TypeSpec("D", SIGNED_LATTICE, SIGNED_BALLOT, False, 2, -1, "B", _SIGNED_CHECKS, True, True),
 }
 
 

@@ -37,7 +37,6 @@ from .paths import (
 )
 from .rootposet import (
     ParkingFunction,
-    _nth_north_followed_by_east,
     ballot_to_antichain,
     diag_validate,
     fits_antichain,
@@ -129,7 +128,7 @@ def _valley_tokens(p: Path, w: SignedPermutation, lattice_type: str):
     toks = []
     if lattice_type == "D":
         eps = sign_of(p)
-        nth_east = _nth_north_followed_by_east(p, n)
+        nth_east = p.sign_pos is not None
     for i, j in valleys(p):
         first = w(n + 1 - i)
         if lattice_type == "C":

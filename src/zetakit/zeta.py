@@ -335,9 +335,9 @@ def sweep_c(p: Path) -> Path:
     return make_path(tuple(s for _, s in bag), ballot(2 * n))
 
 
-def inverse_by_table(p: Path, lattice_type: str, cap: int | None = None) -> Path:
+def inverse_by_table(p: Path, lattice_type: str) -> Path:
     """Invert a zeta map by exhausting the source side."""
-    table = _zeta_table(lattice_type, type_spec(lattice_type).target_rank(p), cap)
+    table = _zeta_table(lattice_type, type_spec(lattice_type).target_rank(p))
     key = paths.render_path(p)
     if key not in table:
         raise InternalError("%s is not a zeta image in type %s" % (key, lattice_type))
@@ -345,9 +345,9 @@ def inverse_by_table(p: Path, lattice_type: str, cap: int | None = None) -> Path
 
 
 @lru_cache(maxsize=16)
-def _zeta_table(lattice_type: str, n: int, cap: int | None):
+def _zeta_table(lattice_type: str, n: int):
     spec = type_spec(lattice_type)
-    sources = enumerate_paths(spec.source.kind(n), cap)
+    sources = enumerate_paths(spec.source.kind(n))
     if spec.dyck:
         sources = filter(is_dyck, sources)
     return {paths.render_path(zeta_path(src, lattice_type)): src for src in sources}

@@ -12,10 +12,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from zetakit.errors import NotRepresentative
-from zetakit.paths import Path, north_count, sign_of, valleys
+from zetakit.paths import E, N, Path, north_count, rises, sign_of, valleys
 from zetakit.rootposet import (
     Root,
-    _nth_north_followed_by_east,
+    highest_root_vector,
     is_positive_root_vector,
     poset_leq,
     positive_roots,
@@ -23,7 +23,8 @@ from zetakit.rootposet import (
     to_vector,
 )
 from zetakit.signedperm import SignedPermutation, weyl_group
-from zetakit.torus import TorusElement, is_representative, wall_roots
+from zetakit.torus import TorusElement, lambda_of_path
+from zetakit.typespec import type_spec
 
 # ---------------------------------------------------------------------------
 # frozen worked examples
@@ -217,6 +218,91 @@ def area_prime_by_boxes(p: Path, w: SignedPermutation) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the torus model by per-type case analysis
+
+
+def is_representative_by_cases(lam, lattice_type: str) -> bool:
+    """Orbit representatives written out per type as chains of
+    inequalities."""
+    lam = tuple(lam)
+    n = len(lam)
+    if lattice_type == "C":
+        return all(0 <= v <= n for v in lam) and all(a <= b for a, b in zip(lam, lam[1:]))
+    if lattice_type == "B":
+        return (
+            lam[0] >= 0
+            and all(a <= b for a, b in zip(lam, lam[1:]))
+            and lam[-2] + lam[-1] <= 2 * n + 1
+            and sum(lam) % 2 == 0
+        )
+    if lattice_type == "D":
+        return (
+            abs(lam[0]) <= lam[1]
+            and all(a <= b for a, b in zip(lam[1:], lam[2:]))
+            and lam[-2] + lam[-1] <= 2 * n - 1
+            and sum(lam) % 2 == 0
+        )
+    raise ValueError("unsupported type %r" % lattice_type)
+
+
+def wall_roots_by_cases(lam, lattice_type: str) -> tuple[tuple[int, ...], ...]:
+    """The wall vectors through a vector, per type: the first simple root,
+    the negated highest root, then the other simple roots."""
+    lam = tuple(lam)
+    n = len(lam)
+    simples = simple_root_vectors(lattice_type, n)
+    out = []
+    if lattice_type == "C":
+        if lam[0] == 0:
+            out.append(simples[0])
+    elif lattice_type == "B":
+        if lam[0] == 0:
+            out.append(simples[0])
+        if lam[-2] + lam[-1] == 2 * n + 1:
+            out.append(tuple(-c for c in highest_root_vector("B", n)))
+    else:
+        if lam[0] == -lam[1]:
+            out.append(simples[0])
+        if lam[-2] + lam[-1] == 2 * n - 1:
+            out.append(tuple(-c for c in highest_root_vector("D", n)))
+    for i in range(1, n):
+        if lam[i - 1] == lam[i]:
+            out.append(simples[i])
+    return tuple(out)
+
+
+def nth_north_followed_by_east(p: Path, n: int) -> bool:
+    seen = 0
+    for k, s in enumerate(p.steps):
+        if s == N:
+            seen += 1
+            if seen == n:
+                return k + 1 < len(p.steps) and p.steps[k + 1] == E
+    return False
+
+
+def is_vertical_labelling_by_cases(p: Path, v: SignedPermutation, lattice_type: str) -> bool:
+    """Vertical labellings by their path rules: labels rise up each
+    column, a leading North step needs a positive first label (B, C) or
+    |v(1)| < v(2) under two leading North steps (D), and in type D the sign
+    product is fixed by the path's sign and the parity of lambda's last two
+    coordinates."""
+    n = type_spec(lattice_type).source_rank(p)
+    if v.n != n or not all(v(i) < v(i + 1) for i in rises(p)):
+        return False
+    if lattice_type == "A":
+        return v.is_permutation()
+    if lattice_type in ("B", "C"):
+        return not (p.steps[0] == N and v(1) < 0)
+    lam = lambda_of_path(p, "D")
+    if p.steps[0] == N and p.steps[1] == N and not abs(v(1)) < v(2):
+        return False
+    prod = 1 if v.sign_changes() % 2 == 0 else -1
+    want = sign_of(p) * (-1) ** ((lam[-2] + lam[-1]) % 2)
+    return prod == want
+
+
+# ---------------------------------------------------------------------------
 # torus orbits by scanning the whole Weyl group
 
 
@@ -250,13 +336,13 @@ def canonicalize_by_orbit_scan(t: TorusElement) -> tuple[tuple[int, ...], Signed
         if lt == "D" and y[0] != 0:
             lifts.append((y[0] - m,) + tuple(y[1:]))
         for cand in lifts:
-            if is_representative(cand, lt):
+            if is_representative_by_cases(cand, lt):
                 if lam is None:
                     lam = cand
                 if tuple(v % m for v in cand) == tuple(y):
                     candidates.append((cand, w))
     assert lam is not None, "no representative found for %r" % (t,)
-    walls = wall_roots(lam, lt)
+    walls = wall_roots_by_cases(lam, lt)
     hits = []
     for cand, w in candidates:
         if cand != lam:
@@ -291,7 +377,7 @@ def diag_validate_by_valleys(p: Path, w: SignedPermutation, lattice_type: str) -
     if not w.is_even():
         return False
     eps = sign_of(p)
-    followed = _nth_north_followed_by_east(p, n)
+    followed = nth_north_followed_by_east(p, n)
     for i, j in valleys(p):
         below = w(n + 1 - i)
         if j <= n - 1:

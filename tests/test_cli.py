@@ -52,6 +52,20 @@ def test_zeta_inverse_table_mode(capsys):
     assert json.loads(out)["preimage"]["steps"] == "E-EENNNNNE"
 
 
+@pytest.mark.parametrize("labels,code", [
+    ("[-5,-4,1,2,3]", 0),
+    ("[5,-4,1,2,3]", 3),  # the twisted labels change an odd number of signs
+    ("[-4,-5,1,2,3]", 3),  # the labels descend up a column
+])
+def test_zeta_type_d_labels(capsys, labels, code):
+    got, out, err = run(capsys, "zeta", "--type", "D", "--path", "E-EENNNNNE", "--labels", labels)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["reading_word"] == [-2, -1, 3, 4, 5]
+    else:
+        assert "not a vertical labelling" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "zeta", "--type", "C", "--path", "NEX")
     assert code == 2

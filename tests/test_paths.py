@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from zetakit.affine import affine_from_json
 from zetakit.errors import CapExceeded, MalformedToken, ShapeViolation
 from zetakit.paths import (
     ballot,
@@ -22,6 +23,7 @@ from zetakit.paths import (
     strip_signs,
     valleys,
 )
+from zetakit.torus import torus_from_json
 
 
 def test_parse_golden_square():
@@ -114,9 +116,10 @@ def test_enumeration_complete_and_sorted(kind):
     assert seen == sorted(seen)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("ZETAKIT_CAP", "100")
     with pytest.raises(CapExceeded):
-        list(enumerate_paths(lattice(20, 20), cap=100))
+        list(enumerate_paths(lattice(20, 20)))
 
 
 @pytest.mark.parametrize("kind", [
@@ -163,3 +166,16 @@ def test_signed_counts_agree(n, data):
     assert count_paths(signed_lattice(n + 1)) == count_paths(signed_ballot(n + 1))
     k = data.draw(st.integers(min_value=0, max_value=n))
     assert count_paths(lattice(k, n)) == math.comb(n + k, k)
+
+
+@pytest.mark.parametrize("decode,d", [
+    (path_from_json, {"kind": "lattice"}),
+    (path_from_json, {}),
+    (torus_from_json, {}),
+    (torus_from_json, {"type": "C"}),
+    (affine_from_json, {"window": [1]}),
+    (affine_from_json, []),
+])
+def test_json_missing_key_is_malformed(decode, d):
+    with pytest.raises(MalformedToken):
+        decode(d)

@@ -6,6 +6,7 @@ import pytest
 from zetakit.errors import NotRepresentative, RankMismatch, ShapeMismatch
 from zetakit.paths import (
     enumerate_paths,
+    is_dyck,
     lattice,
     parse_path,
     signed_lattice,
@@ -13,9 +14,11 @@ from zetakit.paths import (
 from zetakit.rootposet import is_positive_root_vector, reflection_from_vector
 from zetakit.signedperm import SignedPermutation, weyl_group
 from zetakit.torus import (
+    TorusElement,
     VertPath,
     canonicalize,
     enumerate_vert,
+    is_representative,
     is_vertical_labelling,
     label_twist,
     lambda_of_path,
@@ -29,6 +32,7 @@ from zetakit.torus import (
     vert,
     wall_roots,
 )
+from zetakit.typespec import type_spec
 
 from oracles import (
     B_EXAMPLES,
@@ -37,7 +41,10 @@ from oracles import (
     C_TORUS,
     D_EXAMPLES,
     canonicalize_by_orbit_scan,
+    is_representative_by_cases,
+    is_vertical_labelling_by_cases,
     sp,
+    wall_roots_by_cases,
 )
 
 
@@ -252,3 +259,48 @@ def test_canonical_u_fixes_walls_positively():
         t = to_torus(vp, "D")
         lam, u = canonicalize(t)
         assert all(is_positive_root_vector(u.act(v)) for v in wall_roots(lam, "D"))
+
+
+@pytest.mark.parametrize("lt,n", [
+    (lt, n) for lt, low in (("A", 1), ("B", 2), ("C", 1), ("D", 2)) for n in range(low, 5)
+])
+def test_vertical_labelling_matches_oracle(lt, n):
+    """The alcove-wall rule agrees with the per-type path rules on every
+    (source path, label) pair, and enumerate_vert is the group scan filtered
+    by them, in order."""
+    spec = type_spec(lt)
+    sources = [p for p in enumerate_paths(spec.source.kind(n)) if not spec.dyck or is_dyck(p)]
+    group = weyl_group(spec.label_type, n)
+    scan = []
+    for p in sources:
+        for w in group:
+            ok = is_vertical_labelling_by_cases(p, w, lt)
+            assert is_vertical_labelling(p, w, lt) == ok, (p.text, w.window)
+            if ok:
+                scan.append(VertPath(p, w))
+    assert list(enumerate_vert(lt, n)) == scan
+
+
+@pytest.mark.parametrize("lt,n", [
+    ("B", 2), ("B", 3), ("C", 1), ("C", 2), ("C", 3), ("D", 2), ("D", 3),
+])
+def test_alcove_walls_match_oracle(lt, n):
+    m = modulus(lt, n)
+    for lam in itertools.product(range(-m, m + 1), repeat=n):
+        assert is_representative(lam, lt) == is_representative_by_cases(lam, lt), lam
+        assert wall_roots(lam, lt) == wall_roots_by_cases(lam, lt), lam
+
+
+def test_torus_rank_below_minimum():
+    with pytest.raises(RankMismatch):
+        torus_element("B", (0,))
+    with pytest.raises(RankMismatch):
+        torus_element("B", (3,))
+    with pytest.raises(RankMismatch):
+        TorusElement("C", ())
+    with pytest.raises(RankMismatch):
+        is_representative((1,), "B")
+    with pytest.raises(RankMismatch):
+        wall_roots((0,), "B")
+    with pytest.raises(RankMismatch):
+        stabilizer((0,), "B")
