@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LatticeViolation, NotBijective, RankMismatch, json_field
+from .errors import LatticeViolation, NotBijective, RankMismatch, json_int, json_ints, json_str
 from .signedperm import SignedPermutation
 
 
@@ -57,7 +57,8 @@ class AffinePermutation:
     def inverse(self) -> "AffinePermutation":
         sp = decompose(self)
         K = self.period
-        win = tuple(sp.sigma.inverse()(i) + sp.mu[i - 1] * K for i in range(1, self.n + 1))
+        sigma_inv = sp.sigma.inverse()
+        win = tuple(sigma_inv(i) + sp.mu[i - 1] * K for i in range(1, self.n + 1))
         return AffinePermutation(win)
 
     def act(self, x) -> tuple[int, ...]:
@@ -260,8 +261,8 @@ def affine_to_json(w: AffinePermutation, lattice_type: str) -> dict:
 
 
 def affine_from_json(d: dict) -> AffinePermutation:
-    w = from_window(json_field(d, "window"), d.get("n"))
-    lattice_type = json_field(d, "type")
+    w = from_window(json_ints(d, "window"), json_int(d, "n") if "n" in d else None)
+    lattice_type = json_str(d, "type")
     if not in_group(w, lattice_type):
         raise LatticeViolation("window %r is not in the type %s group" % (w.window, lattice_type))
     return w

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and a JSON field lookup."""
+"""Exception types shared across the package, and JSON field lookups."""
 
 
 class ZetakitError(Exception):
@@ -60,3 +60,28 @@ def json_field(d, key: str):
         return d[key]
     except (KeyError, TypeError):
         raise MalformedToken("no key %r in %r" % (key, d)) from None
+
+
+def json_int(d, key: str) -> int:
+    """An integer field of a decoded JSON object; MalformedToken for any
+    other value, booleans included."""
+    v = json_field(d, key)
+    if type(v) is not int:
+        raise MalformedToken("%r must be an integer, got %r" % (key, v))
+    return v
+
+
+def json_ints(d, key: str) -> tuple[int, ...]:
+    """A field holding a list of integers, as a tuple."""
+    v = json_field(d, key)
+    if not isinstance(v, list) or any(type(x) is not int for x in v):
+        raise MalformedToken("%r must be a list of integers, got %r" % (key, v))
+    return tuple(v)
+
+
+def json_str(d, key: str) -> str:
+    """A string field of a decoded JSON object."""
+    v = json_field(d, key)
+    if not isinstance(v, str):
+        raise MalformedToken("%r must be a string, got %r" % (key, v))
+    return v

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapExceeded, MalformedToken, ShapeMismatch, ShapeViolation, json_field
+from .errors import CapExceeded, MalformedToken, ShapeMismatch, ShapeViolation, json_int, json_str
 
 N = "N"
 E = "E"
@@ -217,18 +217,18 @@ def path_to_json(p: Path) -> dict:
 
 
 def path_from_json(d: dict) -> Path:
-    shape = json_field(d, "kind")
+    shape = json_str(d, "kind")
     if shape == "lattice":
-        kind = lattice(json_field(d, "a"), json_field(d, "b"))
+        kind = lattice(json_int(d, "a"), json_int(d, "b"))
     elif shape == "ballot":
-        kind = ballot(json_field(d, "len"))
+        kind = ballot(json_int(d, "len"))
     elif shape == "signed_lattice":
-        kind = signed_lattice(json_field(d, "n"))
+        kind = signed_lattice(json_int(d, "n"))
     elif shape == "signed_ballot":
-        kind = signed_ballot(json_field(d, "n"))
+        kind = signed_ballot(json_int(d, "n"))
     else:
         raise MalformedToken("unknown kind %r" % shape)
-    return parse_path(json_field(d, "steps"), kind)
+    return parse_path(json_str(d, "steps"), kind)
 
 
 def rises(p: Path) -> list[int]:

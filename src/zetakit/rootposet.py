@@ -10,16 +10,14 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import paths
 from .errors import (
     InternalError,
     InvalidLabelling,
     NotAntichain,
     RankMismatch,
     TypeMismatch,
-    ZetakitError,
 )
-from .paths import Path, make_path, sign_of, valleys
+from .paths import E, N, Path, ballot, lift_signed, make_path, sign_of, valleys
 from .signedperm import SignedPermutation
 from .typespec import type_spec
 
@@ -144,39 +142,42 @@ def highest_root_vector(lattice_type: str, n: int) -> tuple[int, ...]:
     return to_vector(Root(lattice_type, "sum", n - 1, n), n)
 
 
+def poset_leq(a: Root, b: Root) -> bool:
+    """a <= b iff b - a has nonnegative simple-root coordinates.  For
+    x = b - a these are the suffix sums S_k = x_k + ... + x_n, except that in
+    type D the first two are (S_2 + x_1)/2 and (S_2 - x_1)/2."""
+    if a.lattice_type != b.lattice_type:
+        raise TypeMismatch("cannot compare %s and %s roots" % (a.lattice_type, b.lattice_type))
+    n = max(a.j, a.i, b.j, b.i)
+    x = [q - p for p, q in zip(to_vector(a, n), to_vector(b, n))]
+    sums = list(itertools.accumulate(reversed(x)))[::-1]
+    if a.lattice_type == "D":
+        sums[1] -= x[0]
+    return min(sums) >= 0
+
+
 @lru_cache(maxsize=64)
 def _upsets(lattice_type: str, n: int) -> dict:
     """For each positive root, the set of roots above it in poset order."""
     roots = positive_roots(lattice_type, n)
-    vec_to_root = {to_vector(r, n): r for r in roots}
-    simples = simple_root_vectors(lattice_type, n)
-    covers: dict[Root, list[Root]] = {r: [] for r in roots}
-    for r in roots:
-        v = to_vector(r, n)
-        for s in simples:
-            w = tuple(a + b for a, b in zip(v, s))
-            if w in vec_to_root:
-                covers[r].append(vec_to_root[w])
-    upsets = {}
-    for r in roots:
-        seen = {r}
-        frontier = [r]
-        while frontier:
-            x = frontier.pop()
-            for y in covers[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        upsets[r] = frozenset(seen)
-    return upsets
+    return {a: frozenset(b for b in roots if poset_leq(a, b)) for a in roots}
 
 
-def poset_leq(a: Root, b: Root) -> bool:
-    """a <= b iff b - a is a sum of positive roots."""
-    if a.lattice_type != b.lattice_type:
-        raise TypeMismatch("cannot compare %s and %s roots" % (a.lattice_type, b.lattice_type))
-    n = max(a.j, a.i, b.j, b.i)
-    return b in _upsets(a.lattice_type, n)[a]
+def _poset_spec(lattice_type: str):
+    if lattice_type not in _KINDS:
+        raise ValueError("type %r has no root poset here" % (lattice_type,))
+    return type_spec(lattice_type)
+
+
+def _check_roots(roots, lattice_type: str, n: int) -> None:
+    """RankMismatch or TypeMismatch unless n is a rank of the type and every
+    root is a positive root of that type at rank n."""
+    _poset_spec(lattice_type).check_rank(n)
+    for r in roots:
+        if r.lattice_type != lattice_type:
+            raise TypeMismatch("%s root %s in type %s" % (r.lattice_type, r, lattice_type))
+        if max(r.i, r.j) > n:
+            raise RankMismatch("root %s is not a root of rank %d" % (r, n))
 
 
 def is_antichain(roots, n: int) -> bool:
@@ -184,6 +185,7 @@ def is_antichain(roots, n: int) -> bool:
     if not roots:
         return True
     lt = roots[0].lattice_type
+    _check_roots(roots, lt, n)
     ups = _upsets(lt, n)
     for a, b in itertools.combinations(roots, 2):
         if b in ups[a] or a in ups[b]:
@@ -192,9 +194,7 @@ def is_antichain(roots, n: int) -> bool:
 
 
 def _ballot_rank(p: Path, lattice_type: str) -> int:
-    if lattice_type not in _KINDS:
-        raise ValueError("type %r has no root poset here" % (lattice_type,))
-    return type_spec(lattice_type).target_rank(p)
+    return _poset_spec(lattice_type).target_rank(p)
 
 
 def _pm_root(lattice_type: str, a: int, coeff: int) -> Root:
@@ -208,22 +208,15 @@ def ballot_to_antichain(p: Path, lattice_type: str) -> tuple[Root, ...]:
     out = []
     if lattice_type in ("B", "C"):
         for i, j in valleys(p):
-            if lattice_type == "C":
-                if j <= n:
-                    out.append(Root("C", "diff", n + 1 - j, n + 1 - i))
-                elif n + 1 - i == j - n:
-                    out.append(Root("C", "long", j - n))
-                else:
-                    a, b = sorted((n + 1 - i, j - n))
-                    out.append(Root("C", "sum", a, b))
+            a, b = n + 1 - i, j - n - (lattice_type == "B")
+            if j <= n:
+                out.append(Root(lattice_type, "diff", n + 1 - j, a))
+            elif b == 0:
+                out.append(Root(lattice_type, "short", a))
+            elif a == b:
+                out.append(Root(lattice_type, "long", a))
             else:
-                if j < n + 1:
-                    out.append(Root("B", "diff", n + 1 - j, n + 1 - i))
-                elif j == n + 1:
-                    out.append(Root("B", "short", n + 1 - i))
-                else:
-                    a, b = sorted((n + 1 - i, j - n - 1))
-                    out.append(Root("B", "sum", a, b))
+                out.append(Root(lattice_type, "sum", min(a, b), max(a, b)))
     else:
         eps = sign_of(p)
         # the n-th North step is followed by an East step iff that step is signed
@@ -244,107 +237,48 @@ def ballot_to_antichain(p: Path, lattice_type: str) -> tuple[Root, ...]:
     return tuple(sorted(out))
 
 
-def _path_from_valleys(vs, lattice_type: str, n: int, sign: int, want_signed_slot: bool | None):
-    """Rebuild the ballot path with the given valley set, or None.
-
-    For type D, `sign` is the requested sign and `want_signed_slot` pins
-    whether the n-th North step must be followed by an East step.
-    """
-    length = 2 * n if lattice_type in ("B", "C") else 2 * n - 1
-    vs = sorted(vs)
-    for (i1, j1), (i2, j2) in zip(vs, vs[1:]):
-        if i1 >= i2 or j1 >= j2:
-            return None
-    ecount = vs[-1][0] if vs else 0
-    m = length - ecount
-    if m < ecount:
-        return None
-    if any(j > m + 1 or i > ecount or i >= j for i, j in vs):
-        return None
-    trailing = [v for v in vs if v[1] == m + 1]
-    if len(trailing) > 1 or (trailing and trailing[0][0] != ecount):
-        return None
-    steps = []
-    prev_e = 0
-    by_j = {j: i for i, j in vs}
-    for j in range(1, m + 1):
-        if j in by_j:
-            steps.extend([paths.E] * (by_j[j] - prev_e))
-            prev_e = by_j[j]
-        steps.append(paths.N)
-    steps.extend([paths.E] * (ecount - prev_e))
-    try:
-        plain = make_path(steps, paths.ballot(length))
-    except ZetakitError:
-        return None
-    if lattice_type in ("B", "C"):
-        return plain
-    lifted_kind = paths.signed_ballot(n)
-    slot = paths._signed_slot(tuple(steps), lifted_kind)
-    if want_signed_slot is not None and (slot is not None) != want_signed_slot:
-        return None
-    if slot is None and sign < 0:
-        return None
-    return make_path(steps, lifted_kind, slot, sign if slot is not None else 1)
+def _first_valleys(roots, n: int):
+    """Type D: the valleys of the roots e_a + e_1 and e_a - e_1, and the
+    sign of the path."""
+    first = sorted((r.j, r.kind) for r in roots if r.i == 1)
+    if not first:
+        return [], 1
+    (a, kind), rest = first[0], first[1:]
+    if rest and rest[0][0] == a:
+        # the pair e_a + e_1, e_a - e_1: no East step follows the n-th North
+        # step, so the path carries no sign
+        return [(n + 1 - a, n)], 1
+    return [(n + 1 - a, n + 1)] + [(n + 1 - b, n) for b, _ in rest], 1 if kind == "sum" else -1
 
 
 def antichain_to_ballot(roots, lattice_type: str, n: int) -> Path:
-    """Inverse of ballot_to_antichain."""
+    """Inverse of ballot_to_antichain: each root gives back its valley, and
+    the sorted valleys give the path."""
     roots = tuple(sorted(roots))
+    _check_roots(roots, lattice_type, n)
     if not is_antichain(roots, n):
         raise NotAntichain("%r is not an antichain" % (roots,))
-
-    def candidates():
-        if lattice_type in ("B", "C"):
-            choice_sets = []
-            for r in roots:
-                if r.kind == "diff":
-                    choice_sets.append([(n + 1 - r.j, n + 1 - r.i)])
-                elif r.kind == "long":
-                    choice_sets.append([(n + 1 - r.i, n + r.i)])
-                elif r.kind == "short":
-                    choice_sets.append([(n + 1 - r.i, n + 1)])
-                else:
-                    off = 0 if lattice_type == "C" else 1
-                    choice_sets.append(
-                        [(n + 1 - r.j, n + r.i + off), (n + 1 - r.i, n + r.j + off)]
-                    )
-            for combo in itertools.product(*choice_sets):
-                yield combo, 1, None
-        else:
-            first = [r for r in roots if r.kind in ("diff", "sum") and r.i == 1]
-            rest = [r for r in roots if r not in first]
-            choice_sets = []
-            for r in rest:
-                if r.kind == "diff":
-                    choice_sets.append([(n + 1 - r.j, n + 1 - r.i)])
-                else:
-                    choice_sets.append([(n + 1 - r.j, n + r.i), (n + 1 - r.i, n + r.j)])
-            pair_as = {r.j for r in first if r.kind == "sum"} & {
-                r.j for r in first if r.kind == "diff"
-            }
-            interps = []
-            if len(first) == 2 and len(pair_as) == 1:
-                a = pair_as.pop()
-                interps.append(([(n + 1 - a, n)], 1, False))
-            for eps in (1, -1):
-                extra = []
-                for r in first:
-                    coeff = 1 if r.kind == "sum" else -1
-                    j = n if coeff == -eps else n + 1
-                    extra.append((n + 1 - r.j, j))
-                interps.append((extra, eps, True if first else None))
-            for extra, eps, want in interps:
-                for combo in itertools.product(*choice_sets):
-                    yield tuple(combo) + tuple(extra), eps, want
-
-    for vs, eps, want in candidates():
-        if len(set(vs)) != len(vs):
+    vs, sign = _first_valleys(roots, n) if lattice_type == "D" else ([], 1)
+    for r in roots:
+        if lattice_type == "D" and r.i == 1:
             continue
-        p = _path_from_valleys(vs, lattice_type, n, eps, want)
-        if p is not None and ballot_to_antichain(p, lattice_type) == roots:
-            return p
-    raise NotAntichain("no ballot path of rank %d realizes %r" % (n, roots))
+        if r.kind == "diff":
+            vs.append((n + 1 - r.j, n + 1 - r.i))
+        elif r.kind == "sum":
+            vs.append((n + 1 - r.j, n + r.i + (lattice_type == "B")))
+        elif r.kind == "long":
+            vs.append((n + 1 - r.i, n + r.i))
+        else:
+            vs.append((n + 1 - r.i, n + 1))
+    length = 2 * n - 1 if lattice_type == "D" else 2 * n
+    steps: list[str] = []
+    north = east = 0
+    for i, j in sorted(vs):
+        steps += [N] * (j - 1 - north) + [E] * (i - east)
+        north, east = j - 1, i
+    steps += [N] * (length - len(steps))
+    p = make_path(steps, ballot(length))
+    return lift_signed(p, sign) if lattice_type == "D" else p
 
 
 def _check_label_rank(p: Path, w: SignedPermutation, lattice_type: str) -> None:

@@ -4,8 +4,9 @@ diagonal inversion counts."""
 from __future__ import annotations
 
 from .errors import InvalidLabelling
-from .paths import Path
+from .paths import N, Path
 from .rootposet import (
+    _ballot_rank,
     _upsets,
     ballot_to_antichain,
     diag_validate,
@@ -15,30 +16,34 @@ from .rootposet import (
 )
 from .signedperm import SignedPermutation
 from .torus import VertPath
-from .typespec import type_spec
 from .zeta import area_vector
 
 
-def _ideal(p: Path, lattice_type: str):
-    """Positive roots with nothing from the path's antichain below them."""
-    anti = ballot_to_antichain(p, lattice_type)
-    n = type_spec(lattice_type).target_rank(p)
-    ups = _upsets(lattice_type, n)
-    return [x for x in positive_roots(lattice_type, n) if not any(x in ups[y] for y in anti)]
-
-
 def area(p: Path, lattice_type: str) -> int:
-    """Size of the order ideal of roots not above the path's antichain."""
-    return len(_ideal(p, lattice_type))
+    """Size of the order ideal of roots not above the path's antichain.  With
+    H(t) = #N - #E after t steps of a path of length L, it is
+    (H(0) + ... + H(L-1) - #E + floor(H(L)/2)) / 2."""
+    _ballot_rank(p, lattice_type)
+    height = total = 0
+    for s in p.steps:
+        total += height
+        height += 1 if s == N else -1
+    east = (len(p.steps) - height) // 2
+    return (total - east + height // 2) // 2
 
 
 def area_prime(p: Path, w: SignedPermutation, lattice_type: str) -> int:
-    """Ideal roots that the labelling keeps positive."""
+    """Roots of the order ideal (no root of the path's antichain below them)
+    that the labelling keeps positive."""
     if not diag_validate(p, w, lattice_type):
         raise InvalidLabelling("labels %s do not fit the valleys of %s" % (w, p))
     n = w.n
+    anti = ballot_to_antichain(p, lattice_type)
+    ups = _upsets(lattice_type, n)
     return sum(
-        1 for x in _ideal(p, lattice_type) if is_positive_root_vector(w.act(to_vector(x, n)))
+        1
+        for x in positive_roots(lattice_type, n)
+        if not any(x in ups[y] for y in anti) and is_positive_root_vector(w.act(to_vector(x, n)))
     )
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import paths
 from .affine import _residue
-from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_field
+from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_ints, json_str
 from .paths import Path, east_counts, make_path, rises, sign_of
 from .rootposet import highest_root_vector, reflection_from_vector, simple_root_vectors
 from .signedperm import SignedPermutation, weyl_group
@@ -55,7 +55,7 @@ def torus_to_json(t: TorusElement) -> dict:
 
 
 def torus_from_json(d: dict) -> TorusElement:
-    return torus_element(json_field(d, "type"), json_field(d, "coords"))
+    return torus_element(json_str(d, "type"), json_ints(d, "coords"))
 
 
 Wall = namedtuple("Wall", "root i a j b bound")

@@ -11,13 +11,14 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from zetakit.errors import NotRepresentative
-from zetakit.paths import E, N, Path, north_count, rises, sign_of, valleys
+from zetakit import paths
+from zetakit.errors import NotAntichain, NotRepresentative, ZetakitError
+from zetakit.paths import E, N, Path, make_path, north_count, rises, sign_of, valleys
 from zetakit.rootposet import (
     Root,
+    ballot_to_antichain,
     highest_root_vector,
     is_positive_root_vector,
-    poset_leq,
     positive_roots,
     simple_root_vectors,
     to_vector,
@@ -127,6 +128,12 @@ def to_vector_frac(vec):
     return tuple(Fraction(c) for c in vec)
 
 
+@lru_cache(maxsize=None)
+def _positive_root_coordinates(lattice_type: str, n: int):
+    roots = positive_roots(lattice_type, n)
+    return tuple(_simple_coordinates(to_vector(r, n), lattice_type, n) for r in roots)
+
+
 def leq_by_definition(a: Root, b: Root, n: int) -> bool:
     """True iff b - a is a sum of positive roots, by exhaustive search in
     simple-root coordinates (the height drops at every step, so the search
@@ -139,9 +146,7 @@ def leq_by_definition(a: Root, b: Root, n: int) -> bool:
     )
     if target is None or any(c < 0 for c in target):
         return False
-    proots = []
-    for r in positive_roots(lt, n):
-        proots.append(_simple_coordinates(to_vector(r, n), lt, n))
+    proots = _positive_root_coordinates(lt, n)
     seen = set()
 
     def rec(t):
@@ -159,12 +164,12 @@ def leq_by_definition(a: Root, b: Root, n: int) -> bool:
 
 
 def count_antichains(lattice_type: str, n: int) -> int:
-    """Backtracking enumeration of antichains (order relation shared with
-    the package, the counting is independent)."""
+    """Backtracking enumeration of antichains under the order of
+    leq_by_definition."""
     roots = positive_roots(lattice_type, n)
     comparable = {r: set() for r in roots}
     for x, y in itertools.combinations(roots, 2):
-        if poset_leq(x, y) or poset_leq(y, x):
+        if leq_by_definition(x, y, n) or leq_by_definition(y, x, n):
             comparable[x].add(y)
             comparable[y].add(x)
 
@@ -178,6 +183,155 @@ def count_antichains(lattice_type: str, n: int) -> int:
         return total
 
     return rec(0, frozenset())
+
+
+@lru_cache(maxsize=None)
+def upsets_by_covers(lattice_type: str, n: int) -> dict:
+    """For each positive root, the roots above it, found by a search over
+    the covers r -> r + (simple root)."""
+    roots = positive_roots(lattice_type, n)
+    vec_to_root = {to_vector(r, n): r for r in roots}
+    simples = simple_root_vectors(lattice_type, n)
+    covers: dict[Root, list[Root]] = {r: [] for r in roots}
+    for r in roots:
+        v = to_vector(r, n)
+        for s in simples:
+            w = tuple(a + b for a, b in zip(v, s))
+            if w in vec_to_root:
+                covers[r].append(vec_to_root[w])
+    upsets = {}
+    for r in roots:
+        seen = {r}
+        frontier = [r]
+        while frontier:
+            x = frontier.pop()
+            for y in covers[x]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        upsets[r] = frozenset(seen)
+    return upsets
+
+
+def area_by_ideal(p: Path, lattice_type: str) -> int:
+    """The number of positive roots with no root of the path's antichain
+    below them."""
+    anti = ballot_to_antichain(p, lattice_type)
+    n = type_spec(lattice_type).target_rank(p)
+    ups = upsets_by_covers(lattice_type, n)
+    return sum(1 for x in positive_roots(lattice_type, n) if not any(x in ups[y] for y in anti))
+
+
+# ---------------------------------------------------------------------------
+# antichain -> ballot path by a search over candidate valley sets
+
+
+def _path_from_valleys(vs, lattice_type: str, n: int, sign: int, want_signed_slot: bool | None):
+    """Rebuild the ballot path with the given valley set, or None.
+
+    For type D, `sign` is the requested sign and `want_signed_slot` pins
+    whether the n-th North step must be followed by an East step.
+    """
+    length = 2 * n if lattice_type in ("B", "C") else 2 * n - 1
+    vs = sorted(vs)
+    for (i1, j1), (i2, j2) in zip(vs, vs[1:]):
+        if i1 >= i2 or j1 >= j2:
+            return None
+    ecount = vs[-1][0] if vs else 0
+    m = length - ecount
+    if m < ecount:
+        return None
+    if any(j > m + 1 or i > ecount or i >= j for i, j in vs):
+        return None
+    trailing = [v for v in vs if v[1] == m + 1]
+    if len(trailing) > 1 or (trailing and trailing[0][0] != ecount):
+        return None
+    steps = []
+    prev_e = 0
+    by_j = {j: i for i, j in vs}
+    for j in range(1, m + 1):
+        if j in by_j:
+            steps.extend([paths.E] * (by_j[j] - prev_e))
+            prev_e = by_j[j]
+        steps.append(paths.N)
+    steps.extend([paths.E] * (ecount - prev_e))
+    try:
+        plain = make_path(steps, paths.ballot(length))
+    except ZetakitError:
+        return None
+    if lattice_type in ("B", "C"):
+        return plain
+    lifted_kind = paths.signed_ballot(n)
+    slot = paths._signed_slot(tuple(steps), lifted_kind)
+    if want_signed_slot is not None and (slot is not None) != want_signed_slot:
+        return None
+    if slot is None and sign < 0:
+        return None
+    return make_path(steps, lifted_kind, slot, sign if slot is not None else 1)
+
+
+def antichain_to_ballot_by_search(roots, lattice_type: str, n: int) -> Path:
+    """Inverse of ballot_to_antichain: try every product of candidate
+    valleys, one or two per root, and keep the path whose antichain is the
+    given one."""
+    roots = tuple(sorted(roots))
+    ups = upsets_by_covers(lattice_type, n)
+    if any(b in ups[a] or a in ups[b] for a, b in itertools.combinations(roots, 2)):
+        raise NotAntichain("%r is not an antichain" % (roots,))
+
+    def candidates():
+        if lattice_type in ("B", "C"):
+            choice_sets = []
+            for r in roots:
+                if r.kind == "diff":
+                    choice_sets.append([(n + 1 - r.j, n + 1 - r.i)])
+                elif r.kind == "long":
+                    choice_sets.append([(n + 1 - r.i, n + r.i)])
+                elif r.kind == "short":
+                    choice_sets.append([(n + 1 - r.i, n + 1)])
+                else:
+                    off = 0 if lattice_type == "C" else 1
+                    choice_sets.append(
+                        [(n + 1 - r.j, n + r.i + off), (n + 1 - r.i, n + r.j + off)]
+                    )
+            for combo in itertools.product(*choice_sets):
+                yield combo, 1, None
+        else:
+            first = [r for r in roots if r.kind in ("diff", "sum") and r.i == 1]
+            rest = [r for r in roots if r not in first]
+            choice_sets = []
+            for r in rest:
+                if r.kind == "diff":
+                    choice_sets.append([(n + 1 - r.j, n + 1 - r.i)])
+                else:
+                    choice_sets.append([(n + 1 - r.j, n + r.i), (n + 1 - r.i, n + r.j)])
+            pair_as = {r.j for r in first if r.kind == "sum"} & {
+                r.j for r in first if r.kind == "diff"
+            }
+            interps = []
+            if len(first) == 2 and len(pair_as) == 1:
+                a = pair_as.pop()
+                interps.append(([(n + 1 - a, n)], 1, False))
+            for eps in (1, -1):
+                extra = []
+                for r in first:
+                    coeff = 1 if r.kind == "sum" else -1
+                    j = n if coeff == -eps else n + 1
+                    extra.append((n + 1 - r.j, j))
+                interps.append((extra, eps, True if first else None))
+            for extra, eps, want in interps:
+                for combo in itertools.product(*choice_sets):
+                    yield tuple(combo) + tuple(extra), eps, want
+
+    for vs, eps, want in candidates():
+        if len(set(vs)) != len(vs):
+            continue
+        p = _path_from_valleys(vs, lattice_type, n, eps, want)
+        if p is not None and ballot_to_antichain(p, lattice_type) == roots:
+            return p
+    raise NotAntichain("no ballot path of rank %d realizes %r" % (n, roots))
+
+
 
 
 # ---------------------------------------------------------------------------

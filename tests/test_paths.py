@@ -179,3 +179,21 @@ def test_signed_counts_agree(n, data):
 def test_json_missing_key_is_malformed(decode, d):
     with pytest.raises(MalformedToken):
         decode(d)
+
+
+@pytest.mark.parametrize("decode,d", [
+    (torus_from_json, {"type": "C", "coords": [1.5]}),
+    (torus_from_json, {"type": "C", "coords": [True, False]}),
+    (torus_from_json, {"type": "C", "coords": 5}),
+    (torus_from_json, {"type": "C", "coords": ["a"]}),
+    (torus_from_json, {"type": ["C"], "coords": [1]}),
+    (path_from_json, {"kind": "lattice", "a": "x", "b": 1, "steps": "EN"}),
+    (path_from_json, {"kind": "lattice", "a": 1, "b": 1, "steps": 5}),
+    (path_from_json, {"kind": "lattice", "a": 1.0, "b": 1, "steps": "EN"}),
+    (path_from_json, {"kind": "ballot", "len": True, "steps": "N"}),
+    (affine_from_json, {"type": "C", "window": "ab"}),
+    (affine_from_json, {"type": "C", "n": "1", "window": [1]}),
+])
+def test_json_value_of_wrong_type_is_malformed(decode, d):
+    with pytest.raises(MalformedToken):
+        decode(d)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from zetakit.errors import InvalidLabelling, NotAntichain, TypeMismatch
+from zetakit.errors import InvalidLabelling, NotAntichain, RankMismatch, TypeMismatch
 from zetakit.paths import ballot, enumerate_paths, parse_path, signed_ballot
 from zetakit.rootposet import (
     Root,
@@ -25,10 +25,12 @@ from oracles import (
     B_ANTICHAIN,
     C_ANTICHAIN,
     D_ANTICHAINS,
+    antichain_to_ballot_by_search,
     count_antichains,
     diag_validate_by_valleys,
     leq_by_definition,
     sp,
+    upsets_by_covers,
 )
 
 
@@ -64,11 +66,17 @@ def test_poset_golden():
         poset_leq(parse_root("e2-e1", "C"), parse_root("e2-e1", "B"))
 
 
-@pytest.mark.parametrize("lt,n", [("B", 3), ("C", 3), ("D", 4), ("B", 4), ("C", 4)])
+@pytest.mark.parametrize("lt,n", [
+    ("B", 3), ("C", 3), ("D", 4), ("B", 4), ("C", 4),
+    ("B", 2), ("B", 5), ("C", 1), ("C", 2), ("C", 5), ("D", 2), ("D", 3), ("D", 5),
+])
 def test_poset_matches_definition(lt, n):
+    """The suffix-sum order agrees with the search over sums of positive
+    roots and with the search over covers."""
     allr = positive_roots(lt, n)
+    ups = upsets_by_covers(lt, n)
     for a, b in itertools.product(allr, repeat=2):
-        assert poset_leq(a, b) == leq_by_definition(a, b, n), (a, b)
+        assert poset_leq(a, b) == leq_by_definition(a, b, n) == (b in ups[a]), (a, b)
 
 
 def test_ballot_to_antichain_golden():
@@ -96,6 +104,32 @@ def test_antichain_roundtrip(lt, n):
         A = ballot_to_antichain(p, lt)
         assert is_antichain(A, n)
         assert antichain_to_ballot(A, lt, n) == p
+
+
+@pytest.mark.parametrize("lt,n", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6),
+    ("C", 1), ("C", 2), ("C", 3), ("C", 4), ("C", 5), ("C", 6),
+    ("D", 2), ("D", 3), ("D", 4), ("D", 5), ("D", 6),
+])
+def test_antichain_to_ballot_matches_search(lt, n):
+    kind = signed_ballot(n) if lt == "D" else ballot(2 * n)
+    for p in enumerate_paths(kind):
+        A = ballot_to_antichain(p, lt)
+        assert antichain_to_ballot(A, lt, n) == antichain_to_ballot_by_search(A, lt, n) == p
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: is_antichain(roots("C", "e5-e1", "2e1"), 3), RankMismatch),
+    (lambda: is_antichain(roots("B", "e2-e1") + roots("C", "2e1"), 3), TypeMismatch),
+    (lambda: antichain_to_ballot((), "C", 0), RankMismatch),
+    (lambda: antichain_to_ballot((), "D", 1), RankMismatch),
+    (lambda: antichain_to_ballot(roots("C", "e4-e1"), "C", 3), RankMismatch),
+    (lambda: antichain_to_ballot(roots("B", "e2-e1"), "C", 3), TypeMismatch),
+    (lambda: antichain_to_ballot(roots("D", "e3+e2"), "D", 2), RankMismatch),
+])
+def test_roots_outside_the_rank_or_type(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("lt,n", [("C", 4), ("B", 4), ("C", 5), ("C", 6)])

@@ -12,6 +12,7 @@ from oracles import (
     C_PATH,
     C_ZETA,
     area_by_boxes,
+    area_by_ideal,
     area_prime_by_boxes,
     sp,
 )
@@ -28,6 +29,17 @@ def test_area_golden():
 def test_area_matches_box_count(n):
     for q in enumerate_paths(ballot(2 * n)):
         assert area(q, "C") == area_by_boxes(q)
+
+
+@pytest.mark.parametrize("lt,n", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6),
+    ("C", 1), ("C", 2), ("C", 3), ("C", 4), ("C", 5), ("C", 6),
+    ("D", 2), ("D", 3), ("D", 4), ("D", 5), ("D", 6),
+])
+def test_area_matches_ideal_count(lt, n):
+    kind = signed_ballot(n) if lt == "D" else ballot(2 * n)
+    for q in enumerate_paths(kind):
+        assert area(q, lt) == area_by_ideal(q, lt), q
 
 
 def test_area_prime_golden():
