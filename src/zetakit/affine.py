@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LatticeViolation, NotBijective, RankMismatch, json_int, json_ints, json_str
+from .errors import LatticeViolation, NotBijective, RankMismatch, json_choice, json_int, json_ints
 from .signedperm import SignedPermutation
+from .typespec import TORUS_TYPES, type_spec
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,6 @@ class AffinePermutation:
         sp = decompose(self)
         y = sp.sigma.act(x)
         return tuple(a + b for a, b in zip(y, sp.mu))
-
-    def is_finite(self) -> bool:
-        return all(abs(v) <= self.n for v in self.window)
-
-    def finite_part_only(self) -> SignedPermutation:
-        if not self.is_finite():
-            raise RankMismatch("window %r is not a finite element" % (self.window,))
-        return SignedPermutation(self.window)
 
     def window_text(self) -> str:
         return "[%s]" % ",".join(map(str, self.window))
@@ -261,8 +254,12 @@ def affine_to_json(w: AffinePermutation, lattice_type: str) -> dict:
 
 
 def affine_from_json(d: dict) -> AffinePermutation:
+    """An affine permutation of type B, C or D from its JSON object:
+    MalformedToken for another type, RankMismatch below the type's smallest
+    rank and LatticeViolation outside the type's group."""
     w = from_window(json_ints(d, "window"), json_int(d, "n") if "n" in d else None)
-    lattice_type = json_str(d, "type")
+    lattice_type = json_choice(d, "type", TORUS_TYPES)
+    type_spec(lattice_type).check_rank(w.n)
     if not in_group(w, lattice_type):
         raise LatticeViolation("window %r is not in the type %s group" % (w.window, lattice_type))
     return w

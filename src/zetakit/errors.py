@@ -85,3 +85,11 @@ def json_str(d, key: str) -> str:
     if not isinstance(v, str):
         raise MalformedToken("%r must be a string, got %r" % (key, v))
     return v
+
+
+def json_choice(d, key: str, choices: tuple[str, ...]) -> str:
+    """A string field that must be one of the choices."""
+    v = json_str(d, key)
+    if v not in choices:
+        raise MalformedToken("%r must be one of %s, got %r" % (key, ", ".join(choices), v))
+    return v

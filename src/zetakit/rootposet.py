@@ -304,6 +304,24 @@ def fits_antichain(w: SignedPermutation, roots, lattice_type: str) -> bool:
     return True
 
 
+def root_form(r: Root) -> tuple[int, int, int, int]:
+    """The positivity form (i, a, j, b) of a root, 0-based: a signed
+    permutation w sends r to a positive root iff a*w[i] + b*w[j] > 0.  The
+    image of c_i e_i + c_j e_j has its highest slot at the larger of |w[i]|
+    and |w[j]|, so the sign of c_i w[i] + c_j w[j] decides."""
+    if r.kind in ("short", "long"):
+        return (r.i - 1, 1, 0, 0)
+    return (r.j - 1, 1, r.i - 1, 1 if r.kind == "sum" else -1)
+
+
+def antichain_forms(p: Path, lattice_type: str):
+    """The forms of the ballot path's antichain and the sign parity of a
+    diagonal labelling (even in type D, free otherwise): w labels p
+    diagonally iff signedperm.passes(w.window, *antichain_forms(p, lattice_type))."""
+    forms = [root_form(r) for r in ballot_to_antichain(p, lattice_type)]
+    return forms, 0 if lattice_type == "D" else None
+
+
 def diag_validate(p: Path, w: SignedPermutation, lattice_type: str) -> bool:
     """True iff w is a diagonal labelling of the ballot path: it sends every
     root of the path's antichain to a positive root."""

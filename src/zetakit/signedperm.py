@@ -97,6 +97,33 @@ class SignedPermutation:
         return cls(tuple(window))
 
 
+# A positivity form (i, a, j, b) tests a*win[i] + b*win[j] > 0 on a window:
+# whether the signed permutation sends a root to a positive root
+# (rootposet.root_form), or a comparison of two labels.
+
+
+def passes(win, forms, parity=None) -> bool:
+    """True iff a*win[i] + b*win[j] > 0 for every form (i, a, j, b), and the
+    number of negative entries has the given parity unless it is None."""
+    if parity is not None and sum(1 for x in win if x < 0) % 2 != parity:
+        return False
+    return all(a * win[i] + b * win[j] > 0 for i, a, j, b in forms)
+
+
+def passing(windows, forms, parity=None) -> list:
+    """The windows that pass, in their order: one filter per form."""
+    if parity is not None:
+        windows = [w for w in windows if sum(1 for x in w if x < 0) % 2 == parity]
+    for i, a, j, b in forms:
+        windows = [w for w in windows if a * w[i] + b * w[j] > 0]
+    return list(windows)
+
+
+def count_positive(win, forms) -> int:
+    """The number of forms (i, a, j, b) with a*win[i] + b*win[j] > 0."""
+    return sum(1 for i, a, j, b in forms if a * win[i] + b * win[j] > 0)
+
+
 def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):

@@ -10,11 +10,10 @@ from .rootposet import (
     _upsets,
     ballot_to_antichain,
     diag_validate,
-    is_positive_root_vector,
     positive_roots,
-    to_vector,
+    root_form,
 )
-from .signedperm import SignedPermutation
+from .signedperm import SignedPermutation, count_positive
 from .torus import VertPath
 from .zeta import area_vector
 
@@ -37,14 +36,16 @@ def area_prime(p: Path, w: SignedPermutation, lattice_type: str) -> int:
     that the labelling keeps positive."""
     if not diag_validate(p, w, lattice_type):
         raise InvalidLabelling("labels %s do not fit the valleys of %s" % (w, p))
-    n = w.n
+    return count_positive(w.window, area_prime_forms(p, lattice_type))
+
+
+def area_prime_forms(p: Path, lattice_type: str) -> list:
+    """The positivity forms (rootposet.root_form) of the roots in the order
+    ideal of the ballot path: area_prime counts the ones a labelling passes."""
+    n = _ballot_rank(p, lattice_type)
     anti = ballot_to_antichain(p, lattice_type)
     ups = _upsets(lattice_type, n)
-    return sum(
-        1
-        for x in positive_roots(lattice_type, n)
-        if not any(x in ups[y] for y in anti) and is_positive_root_vector(w.act(to_vector(x, n)))
-    )
+    return [root_form(x) for x in positive_roots(lattice_type, n) if not any(x in ups[y] for y in anti)]
 
 
 def _row_area_vector(p: Path) -> tuple[int, ...]:
@@ -73,22 +74,27 @@ def dinv_c(p: Path) -> int:
 
 def dinv_c_prime(vp: VertPath) -> int:
     """Label-refined diagonal inversions of a vertically labelled path."""
-    rho = _row_area_vector(vp.path)
-    u = vp.labels
+    return count_positive(vp.labels.window, dinv_c_prime_forms(vp.path))
+
+
+def dinv_c_prime_forms(p: Path) -> list:
+    """The forms (i, a, j, b) whose count of a*u[i] + b*u[j] > 0 over labels
+    u is dinv_c_prime: a zero row with a negative label, and for each pair
+    of rows i < j the label comparisons their area values call for."""
+    rho = _row_area_vector(p)
     n = len(rho)
-    total = sum(1 for i in range(n) if rho[i] == 0 and u(i + 1) < 0)
+    forms = [(i, -1, 0, 0) for i in range(n) if rho[i] == 0]
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = u(i + 1), u(j + 1)
-            if rho[i] == rho[j] and a < b:
-                total += 1
-            if rho[i] == rho[j] + 1 and a > b:
-                total += 1
-            if rho[i] == -rho[j] and a < -b:
-                total += 1
-            if rho[i] == -rho[j] + 1 and a > -b:
-                total += 1
-    return total
+            if rho[i] == rho[j]:
+                forms.append((i, -1, j, 1))  # u_i < u_j
+            if rho[i] == rho[j] + 1:
+                forms.append((i, 1, j, -1))  # u_i > u_j
+            if rho[i] == -rho[j]:
+                forms.append((i, -1, j, -1))  # u_i < -u_j
+            if rho[i] == -rho[j] + 1:
+                forms.append((i, 1, j, 1))  # u_i > -u_j
+    return forms
 
 
 def dinv_b_experimental(p: Path) -> int:

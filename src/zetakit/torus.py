@@ -17,11 +17,11 @@ from functools import lru_cache
 
 from . import paths
 from .affine import _residue
-from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_ints, json_str
+from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_choice, json_ints
 from .paths import Path, east_counts, make_path, rises, sign_of
-from .rootposet import highest_root_vector, reflection_from_vector, simple_root_vectors
-from .signedperm import SignedPermutation, weyl_group
-from .typespec import min_rank, modulus, type_spec  # noqa: F401  (min_rank is re-exported)
+from .rootposet import highest_root_vector, reflection_from_vector, root_from_vector, simple_root_vectors
+from .signedperm import SignedPermutation, passes, weyl_group
+from .typespec import TORUS_TYPES, min_rank, modulus, type_spec  # noqa: F401  (min_rank is re-exported)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ def torus_to_json(t: TorusElement) -> dict:
 
 
 def torus_from_json(d: dict) -> TorusElement:
-    return torus_element(json_str(d, "type"), json_ints(d, "coords"))
+    """A torus element of type B, C or D from its JSON object: MalformedToken
+    for another type, RankMismatch below the type's smallest rank."""
+    return torus_element(json_choice(d, "type", TORUS_TYPES), json_ints(d, "coords"))
 
 
 Wall = namedtuple("Wall", "root i a j b bound")
@@ -143,6 +145,13 @@ def wall_roots(lam, lattice_type: str) -> tuple[tuple[int, ...], ...]:
     return tuple(w.root for w in _walls_through(tuple(lam), lattice_type))
 
 
+def wall_images(ts: SignedPermutation, lam, lattice_type: str) -> tuple:
+    """The roots ts^-1 sends the alcove walls through lam to, sorted."""
+    ts_inv = ts.inverse()
+    roots = (root_from_vector(ts_inv.act(vec), lattice_type) for vec in wall_roots(lam, lattice_type))
+    return tuple(sorted(roots))
+
+
 @dataclass(frozen=True)
 class VertPath:
     """A vertically labelled path: the i-th North step carries label
@@ -170,8 +179,9 @@ def _twist_signs(p: Path, lam: tuple[int, ...], lattice_type: str) -> list[int]:
     return signs
 
 
-def _vertical_rule(p: Path, lattice_type: str):
-    """The test a label window must pass to label p vertically.
+def vertical_forms(p: Path, lattice_type: str):
+    """The forms and sign parity a label window must pass to label p
+    vertically (signedperm.passes).
 
     In type A the labels increase up each column.  In types B, C and D the
     twisted labels u must lie in the Weyl group and send every alcove wall
@@ -179,29 +189,20 @@ def _vertical_rule(p: Path, lattice_type: str):
     positive root under u iff sum c_i u(i) > 0, and u(i) = s_i v(i) for the
     twist signs s, so the twist is folded into the coefficients."""
     if lattice_type == "A":
-        forms = [(i - 1, -1, i, 1) for i in rises(p)]
-        parity = None
-    else:
-        lam = lambda_of_path(p, lattice_type)
-        s = _twist_signs(p, lam, lattice_type)
-        forms = [(w.i, w.a * s[w.i], w.j, w.b * s[w.j]) for w in _walls_through(lam, lattice_type)]
-        parity = s.count(-1) % 2 if type_spec(lattice_type).even_signs else None
-
-    def fits(win) -> bool:
-        if parity is not None and sum(1 for x in win if x < 0) % 2 != parity:
-            return False
-        return all(a * win[i] + b * win[j] > 0 for i, a, j, b in forms)
-
-    return fits
+        return [(i - 1, -1, i, 1) for i in rises(p)], None
+    lam = lambda_of_path(p, lattice_type)
+    s = _twist_signs(p, lam, lattice_type)
+    forms = [(w.i, w.a * s[w.i], w.j, w.b * s[w.j]) for w in _walls_through(lam, lattice_type)]
+    return forms, s.count(-1) % 2 if type_spec(lattice_type).even_signs else None
 
 
 def is_vertical_labelling(p: Path, v: SignedPermutation, lattice_type: str) -> bool:
     """True iff v, a permutation in type A and a signed permutation
-    otherwise, labels the North steps of p vertically (_vertical_rule)."""
+    otherwise, labels the North steps of p vertically (vertical_forms)."""
     n = type_spec(lattice_type).source_rank(p)
     if v.n != n or (lattice_type == "A" and not v.is_permutation()):
         return False
-    return _vertical_rule(p, lattice_type)(v.window)
+    return passes(v.window, *vertical_forms(p, lattice_type))
 
 
 def vert(p: Path, v: SignedPermutation, lattice_type: str) -> VertPath:
@@ -238,9 +239,9 @@ def enumerate_vert(lt: str, n: int):
         src = filter(paths.is_dyck, src)
     group = weyl_group(spec.label_type, n)
     for p in src:
-        fits = _vertical_rule(p, lt)
+        forms, parity = vertical_forms(p, lt)
         for w in group:
-            if fits(w.window):
+            if passes(w.window, forms, parity):
                 yield VertPath(p, w)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import RankMismatch, ShapeMismatch
 from .paths import Path, PathKind, is_dyck
 
+# the checks over vertically labelled paths
 LABELLED_CHECKS = ("labelled_bijectivity", "rise_valley", "uniform", "anderson")
 
 
@@ -84,7 +85,7 @@ class TypeSpec:
         return 2 * n + self.modulus_shift
 
 
-_SIGNED_CHECKS = ("counting", "bijectivity", "labelled_bijectivity", "rise_valley", "uniform", "anderson")
+_SIGNED_CHECKS = ("counting", "bijectivity") + LABELLED_CHECKS
 
 TYPES = {
     "A": TypeSpec("A", SQUARE, SQUARE, True, 1, None, "A", ("counting", "bijectivity")),
@@ -107,6 +108,9 @@ TYPES = {
     # twist (torus.label_twist) is the element of the even group
     "D": TypeSpec("D", SIGNED_LATTICE, SIGNED_BALLOT, False, 2, -1, "B", _SIGNED_CHECKS, True, True),
 }
+
+# the types with a torus and an affine Weyl group
+TORUS_TYPES = tuple(lt for lt, spec in TYPES.items() if spec.modulus_shift is not None)
 
 
 def type_spec(lattice_type: str) -> TypeSpec:

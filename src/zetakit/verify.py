@@ -4,7 +4,9 @@ Every named check runs over a complete enumeration at the requested rank
 and reports the first counterexample in enumeration order, so reports are
 byte-identical across runs.  The uniform and window-arithmetic checks tie
 the combinatorial maps to the group-theoretic construction and serve as an
-independent oracle for them.
+independent oracle for them.  The checks over vertically labelled paths
+share one pass per rank (labelled.labelled_pass); uniform_oracle and
+anderson_check are the same oracles for a single labelled path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import paths, stats, zeta
+from . import stats, zeta
 from .affine import (
     coerce_affine,
     dominant_frame,
@@ -21,9 +23,8 @@ from .affine import (
     grassmannian_companion,
     translation,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, ZetakitError
 from .paths import (
-    Path,
     ballot,
     count_paths,
     enumerate_paths,
@@ -31,28 +32,10 @@ from .paths import (
     is_dyck,
     lattice,
     render_path,
-    rises,
-    sign_of,
-    valleys,
 )
-from .rootposet import (
-    ParkingFunction,
-    ballot_to_antichain,
-    diag_validate,
-    fits_antichain,
-    root_from_vector,
-    to_parking_function,
-)
-from .signedperm import SignedPermutation, weyl_group
-from .torus import (
-    VertPath,
-    enumerate_vert,
-    label_twist,
-    lambda_of_path,
-    to_torus,
-    wall_roots,
-)
-from .typespec import LABELLED_CHECKS, TypeSpec, modulus, type_spec
+from .rootposet import ParkingFunction
+from .torus import VertPath, label_twist, lambda_of_path, to_torus, wall_images
+from .typespec import TypeSpec, modulus, type_spec
 
 
 def uniform_oracle(vp: VertPath, lattice_type: str) -> ParkingFunction:
@@ -60,18 +43,10 @@ def uniform_oracle(vp: VertPath, lattice_type: str) -> ParkingFunction:
     side: twist the wall roots of the representative by the frame and the
     Grassmannian companion instead of using the combinatorial map."""
     lam = lambda_of_path(vp.path, lattice_type)
-    n = len(lam)
-    u = label_twist(vp, lattice_type)
-    mu = zeta.area_vector(vp.path, lattice_type)
-    sigma = grassmannian_companion(mu, lattice_type)
-    _, tau = dominant_frame_parts(lattice_type, n)
+    sigma = grassmannian_companion(zeta.area_vector(vp.path, lattice_type), lattice_type)
+    _, tau = dominant_frame_parts(lattice_type, len(lam))
     ts = tau.compose(sigma)
-    w = u.compose(ts)
-    ts_inv = ts.inverse()
-    roots = tuple(
-        sorted(root_from_vector(ts_inv.act(vec), lattice_type) for vec in wall_roots(lam, lattice_type))
-    )
-    return ParkingFunction(w, roots)
+    return ParkingFunction(label_twist(vp, lattice_type).compose(ts), wall_images(ts, lam, lattice_type))
 
 
 def anderson_windows(vp: VertPath, lattice_type: str) -> dict:
@@ -105,56 +80,13 @@ def anderson_check(vp: VertPath, lattice_type: str) -> bool:
     return data["vector"] == to_torus(vp, lattice_type).coords and data["orbit_rep"] == lam
 
 
-def _rise_tokens(vp: VertPath, lattice_type: str):
-    p, v = vp.path, vp.labels
-    toks = []
-    starts_nn = len(p.steps) >= 2 and p.steps[0] == paths.N and p.steps[1] == paths.N
-    for i in rises(p):
-        if lattice_type == "D" and i == 1 and starts_nn:
-            toks.append(("abs", abs(v(1)), v(2)))
-        else:
-            a, b = v(i), v(i + 1)
-            toks.append(("pair", min((b, a), (-a, -b))))
-    if lattice_type == "C" and p.steps[0] == paths.N:
-        a = v(1)
-        toks.append(("pair", min((a, -a), (a, -a))))
-    if lattice_type == "B" and p.steps[0] == paths.N:
-        toks.append(("pair", min((v(1), 0), (0, -v(1)))))
-    return sorted(toks)
-
-
-def _valley_tokens(p: Path, w: SignedPermutation, lattice_type: str):
-    n = w.n
-    toks = []
-    if lattice_type == "D":
-        eps = sign_of(p)
-        nth_east = p.sign_pos is not None
-    for i, j in valleys(p):
-        first = w(n + 1 - i)
-        if lattice_type == "C":
-            second = w(n + 1 - j) if j <= n else w(n - j)
-        elif lattice_type == "B":
-            second = w(n + 1 - j)
-        else:
-            if j == n and not nth_east:
-                toks.append(("abs", abs(w(1)), first))
-                continue
-            if j < n:
-                second = w(n + 1 - j)
-            elif j == n:
-                second = eps * w(1)
-            elif j == n + 1:
-                second = -eps * w(1)
-            else:
-                second = w(n - j)
-        toks.append(("pair", min((first, second), (-second, -first))))
-    return sorted(toks)
-
-
 def _paths(spec: TypeSpec, kind):
     """Every path of the kind; type A keeps the Dyck paths only."""
     stream = enumerate_paths(kind)
     return filter(is_dyck, stream) if spec.dyck else stream
+
+
+# Each unlabelled check returns (counterexample or None, objects examined).
 
 
 def _check_counting(lt: str, n: int):
@@ -163,23 +95,23 @@ def _check_counting(lt: str, n: int):
         dycks = sum(1 for _ in _paths(spec, spec.source.kind(n)))
         catalan = math.comb(2 * n, n) // (n + 1)
         if dycks != catalan:
-            return "Dyck count %d != %d" % (dycks, catalan)
-        return None
+            return "Dyck count %d != %d" % (dycks, catalan), dycks
+        return None, dycks
     a = sum(1 for _ in enumerate_paths(spec.source.kind(n)))
     b = sum(1 for _ in enumerate_paths(spec.target.kind(n)))
     if lt in ("B", "C"):
         want = math.comb(2 * n, n)
         if not a == b == want:
-            return "counts %d, %d != %d" % (a, b, want)
-        return None
+            return "counts %d, %d != %d" % (a, b, want), a + b
+        return None, a + b
     ua = sum(1 for _ in enumerate_paths(lattice(n - 1, n)))
     ub = sum(1 for _ in enumerate_paths(ballot(2 * n - 1)))
     want = math.comb(2 * n - 1, n - 1)
     if not ua == ub == want:
-        return "unsigned counts %d, %d != %d" % (ua, ub, want)
+        return "unsigned counts %d, %d != %d" % (ua, ub, want), ua + ub
     if a != b:
-        return "signed counts %d != %d" % (a, b)
-    return None
+        return "signed counts %d != %d" % (a, b), ua + ub + a + b
+    return None, ua + ub + a + b
 
 
 def _check_bijectivity(lt: str, n: int):
@@ -188,115 +120,76 @@ def _check_bijectivity(lt: str, n: int):
     for p in _paths(spec, spec.source.kind(n)):
         key = render_path(zeta.zeta_path(p, lt))
         if key in images:
-            return "duplicate image %s" % key
+            return "duplicate image %s" % key, len(images) + 1
         images.add(key)
     targets = {render_path(q) for q in _paths(spec, spec.target.kind(n))}
     if images != targets:
         missing = sorted(targets - images)
-        return "image misses %s" % missing[0]
+        return "image misses %s" % missing[0], len(images)
     if lt == "D":
         star_images = set()
         for p in enumerate_paths(lattice(n - 1, n)):
             star_images.add(render_path(zeta.zeta_d_star(p)))
         star_targets = {render_path(q) for q in enumerate_paths(ballot(2 * n - 1))}
         if star_images != star_targets:
-            return "sign-stripped map is not onto"
-    return None
-
-
-def _check_labelled_bijectivity(lt: str, n: int):
-    seen = set()
-    count = 0
-    for vp in enumerate_vert(lt, n):
-        img_path, img_w = zeta.zeta_labelled(vp, lt)
-        if not diag_validate(img_path, img_w, lt):
-            return "image of %s | %s is not diagonally labelled" % (vp.path, vp.labels)
-        key = (render_path(img_path), img_w.window)
-        if key in seen:
-            return "labelled duplicate at %s | %s" % (vp.path, vp.labels)
-        seen.add(key)
-        count += 1
-    expected = modulus(lt, n) ** n
-    if count != expected:
-        return "labelled domain has %d elements, torus has %d" % (count, expected)
-    diag_count = 0
-    group = weyl_group(lt, n)
-    for q in enumerate_paths(type_spec(lt).target.kind(n)):
-        roots = ballot_to_antichain(q, lt)
-        diag_count += sum(1 for w in group if fits_antichain(w, roots, lt))
-    if diag_count != count:
-        return "labelled image misses %d targets" % (diag_count - count)
-    return None
+            return "sign-stripped map is not onto", len(images) + len(star_images)
+        return None, len(images) + len(star_images)
+    return None, len(images)
 
 
 def _check_inverse_roundtrip(lt: str, n: int):
     spec = type_spec(lt)
+    count = 0
     for p in enumerate_paths(spec.source.kind(n)):
+        count += 1
         img = zeta.zeta_path(p, "C")
         back = zeta.inverse_zeta_c(img)
         if back != p:
-            return "round trip fails at %s" % p
+            return "round trip fails at %s" % p, count
     for q in enumerate_paths(spec.target.kind(n)):
+        count += 1
         if render_path(zeta.zeta_path(zeta.inverse_zeta_c(q), "C")) != render_path(q):
-            return "round trip fails at image %s" % q
-    return None
+            return "round trip fails at image %s" % q, count
+    return None, count
 
 
 def _check_sweep_equiv(lt: str, n: int):
+    count = 0
     for p in enumerate_paths(type_spec(lt).source.kind(n)):
+        count += 1
         if zeta.sweep_c(p) != zeta.zeta_path(p, "C"):
-            return "sweep differs at %s" % p
-    return None
-
-
-def _check_rise_valley(lt: str, n: int):
-    for vp in enumerate_vert(lt, n):
-        img_path, img_w = zeta.zeta_labelled(vp, lt)
-        if _rise_tokens(vp, lt) != _valley_tokens(img_path, img_w, lt):
-            return "label multisets differ at %s | %s" % (vp.path, vp.labels)
-    return None
+            return "sweep differs at %s" % p, count
+    return None, count
 
 
 def _check_stats_identity(lt: str, n: int):
+    """dinv = area o zeta on unlabelled paths; the labelled pass adds the
+    refined identity up to REFINED_MAX_RANK."""
+    count = 0
     for p in enumerate_paths(type_spec(lt).source.kind(n)):
+        count += 1
         if stats.dinv_c(p) != stats.area(zeta.zeta_path(p, "C"), "C"):
-            return "dinv/area differ at %s" % p
-    if n <= 4:
-        for vp in enumerate_vert("C", n):
-            img_path, img_w = zeta.zeta_labelled(vp, "C")
-            if stats.dinv_c_prime(vp) != stats.area_prime(img_path, img_w, "C"):
-                return "refined dinv/area differ at %s | %s" % (vp.path, vp.labels)
-    return None
+            return "dinv/area differ at %s" % p, count
+    return None, count
 
 
-def _check_uniform(lt: str, n: int):
-    for vp in enumerate_vert(lt, n):
-        img_path, img_w = zeta.zeta_labelled(vp, lt)
-        combinatorial = to_parking_function(img_path, img_w, lt)
-        if combinatorial != uniform_oracle(vp, lt):
-            return "parking functions differ at %s | %s" % (vp.path, vp.labels)
-    return None
-
-
-def _check_anderson(lt: str, n: int):
-    for vp in enumerate_vert(lt, n):
-        if not anderson_check(vp, lt):
-            return "window arithmetic fails at %s | %s" % (vp.path, vp.labels)
-    return None
-
-
+# Every check, in report order.  The labelled checks (None) run together in
+# one labelled_pass per rank, which also runs the refined half of
+# stats_identity.
 _CHECKS = {
     "counting": _check_counting,
     "bijectivity": _check_bijectivity,
-    "labelled_bijectivity": _check_labelled_bijectivity,
+    "labelled_bijectivity": None,
     "inverse_roundtrip": _check_inverse_roundtrip,
     "sweep_equiv": _check_sweep_equiv,
-    "rise_valley": _check_rise_valley,
+    "rise_valley": None,
     "stats_identity": _check_stats_identity,
-    "uniform": _check_uniform,
-    "anderson": _check_anderson,
+    "uniform": None,
+    "anderson": None,
 }
 CHECK_NAMES = tuple(_CHECKS)
+# the rank up to which stats_identity also checks dinv' = area' o zeta on labelled paths
+REFINED_MAX_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -306,6 +199,7 @@ class CheckResult:
     n: int
     passed: bool
     counterexample: str | None = None
+    examined: int = 0  # objects the check looked at; not part of the report
 
     def to_dict(self) -> dict:
         d = {"check": self.check, "type": self.lattice_type, "n": self.n, "passed": self.passed}
@@ -329,10 +223,38 @@ class Report:
 def _guard_cap(spec: TypeSpec, n: int, check: str) -> None:
     cap = enumeration_cap()
     heavy = count_paths(spec.source.kind(n)) + count_paths(spec.target.kind(n))
-    if check in LABELLED_CHECKS:
+    if _CHECKS[check] is None:
         heavy += spec.modulus(n) ** n
     if heavy > cap:
         raise CapExceeded("rank %d needs %d objects, cap is %d" % (n, heavy, cap))
+
+
+def _outcomes(lattice_type: str, n: int, names) -> dict:
+    """{name: (outcome, examined)} for the requested checks at rank n: the
+    unlabelled checks one by one, then one labelled pass for the rest."""
+    done = {}
+    for name in names:
+        if _CHECKS[name] is not None:
+            try:
+                done[name] = _CHECKS[name](lattice_type, n)
+            except ZetakitError as e:
+                done[name] = (e, 0)
+    labelled = [c for c in names if _CHECKS[c] is None]
+    # the refined identity runs only where the unlabelled one held
+    refine = "stats_identity" in names and n <= REFINED_MAX_RANK and done["stats_identity"][0] is None
+    if refine:
+        labelled.append("stats_identity")
+    if labelled:
+        # loaded on first use: importing verify for the unlabelled checks
+        # does not load the labelled pass
+        from .labelled import labelled_pass
+
+        found = labelled_pass(lattice_type, n, labelled)
+        if refine:
+            outcome, examined = found.pop("stats_identity")
+            done["stats_identity"] = (outcome, done["stats_identity"][1] + examined)
+        done.update(found)
+    return done
 
 
 def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
@@ -340,7 +262,11 @@ def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
     type, at every rank from the type's smallest up to n_max.  An empty
     request or a check that does not apply to the type raises ValueError, a
     rank below the smallest raises RankMismatch, and a rank over the
-    enumeration cap raises CapExceeded, all before any check runs."""
+    enumeration cap raises CapExceeded, all before any check runs.
+
+    The results come in plan order: check by check, rank by rank.  A check
+    that examined no object fails, and the first check in that order that
+    raised a ZetakitError raises it."""
     spec = type_spec(lattice_type)
     if checks is None:
         checks = spec.checks
@@ -350,11 +276,18 @@ def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
     if foreign:
         raise ValueError("checks %s do not apply to type %s" % (", ".join(foreign), lattice_type))
     spec.check_rank(n_max)
-    plan = [(c, n) for c in spec.checks if c in checks for n in range(spec.min_rank, n_max + 1)]
+    names = [c for c in spec.checks if c in checks]
+    ranks = range(spec.min_rank, n_max + 1)
+    plan = [(c, n) for c in names for n in ranks]
     for name, n in plan:
         _guard_cap(spec, n, name)
+    done = {n: _outcomes(lattice_type, n, names) for n in ranks}
     results = []
     for name, n in plan:
-        witness = _CHECKS[name](lattice_type, n)
-        results.append(CheckResult(name, lattice_type, n, witness is None, witness))
+        outcome, examined = done[n][name]
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome is None and not examined:
+            outcome = "examined no objects"
+        results.append(CheckResult(name, lattice_type, n, outcome is None, outcome, examined))
     return Report(tuple(results))

@@ -11,21 +11,36 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from zetakit import paths
+from zetakit import paths, stats, zeta
 from zetakit.errors import NotAntichain, NotRepresentative, ZetakitError
-from zetakit.paths import E, N, Path, make_path, north_count, rises, sign_of, valleys
+from zetakit.paths import (
+    E,
+    N,
+    Path,
+    enumerate_paths,
+    make_path,
+    north_count,
+    render_path,
+    rises,
+    sign_of,
+    valleys,
+)
 from zetakit.rootposet import (
     Root,
     ballot_to_antichain,
+    diag_validate,
+    fits_antichain,
     highest_root_vector,
     is_positive_root_vector,
     positive_roots,
     simple_root_vectors,
+    to_parking_function,
     to_vector,
 )
 from zetakit.signedperm import SignedPermutation, weyl_group
-from zetakit.torus import TorusElement, lambda_of_path
-from zetakit.typespec import type_spec
+from zetakit.torus import TorusElement, VertPath, enumerate_vert, lambda_of_path
+from zetakit.typespec import modulus, type_spec
+from zetakit.verify import anderson_check, uniform_oracle
 
 # ---------------------------------------------------------------------------
 # frozen worked examples
@@ -547,3 +562,124 @@ def diag_validate_by_valleys(p: Path, w: SignedPermutation, lattice_type: str) -
         if not ok:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the labelled checks as separate loops over enumerate_vert, one item at a
+# time through the public per-item functions; verify's single labelled pass
+# must return the same first counterexample as each of them
+
+
+def _rise_tokens(vp: VertPath, lattice_type: str):
+    p, v = vp.path, vp.labels
+    toks = []
+    starts_nn = len(p.steps) >= 2 and p.steps[0] == paths.N and p.steps[1] == paths.N
+    for i in rises(p):
+        if lattice_type == "D" and i == 1 and starts_nn:
+            toks.append(("abs", abs(v(1)), v(2)))
+        else:
+            a, b = v(i), v(i + 1)
+            toks.append(("pair", min((b, a), (-a, -b))))
+    if lattice_type == "C" and p.steps[0] == paths.N:
+        a = v(1)
+        toks.append(("pair", min((a, -a), (a, -a))))
+    if lattice_type == "B" and p.steps[0] == paths.N:
+        toks.append(("pair", min((v(1), 0), (0, -v(1)))))
+    return sorted(toks)
+
+
+def _valley_tokens(p: Path, w: SignedPermutation, lattice_type: str):
+    n = w.n
+    toks = []
+    if lattice_type == "D":
+        eps = sign_of(p)
+        nth_east = p.sign_pos is not None
+    for i, j in valleys(p):
+        first = w(n + 1 - i)
+        if lattice_type == "C":
+            second = w(n + 1 - j) if j <= n else w(n - j)
+        elif lattice_type == "B":
+            second = w(n + 1 - j)
+        else:
+            if j == n and not nth_east:
+                toks.append(("abs", abs(w(1)), first))
+                continue
+            if j < n:
+                second = w(n + 1 - j)
+            elif j == n:
+                second = eps * w(1)
+            elif j == n + 1:
+                second = -eps * w(1)
+            else:
+                second = w(n - j)
+        toks.append(("pair", min((first, second), (-second, -first))))
+    return sorted(toks)
+
+
+def check_labelled_bijectivity(lt: str, n: int):
+    seen = set()
+    count = 0
+    for vp in enumerate_vert(lt, n):
+        img_path, img_w = zeta.zeta_labelled(vp, lt)
+        if not diag_validate(img_path, img_w, lt):
+            return "image of %s | %s is not diagonally labelled" % (vp.path, vp.labels)
+        key = (render_path(img_path), img_w.window)
+        if key in seen:
+            return "labelled duplicate at %s | %s" % (vp.path, vp.labels)
+        seen.add(key)
+        count += 1
+    expected = modulus(lt, n) ** n
+    if count != expected:
+        return "labelled domain has %d elements, torus has %d" % (count, expected)
+    diag_count = 0
+    group = weyl_group(lt, n)
+    for q in enumerate_paths(type_spec(lt).target.kind(n)):
+        roots = ballot_to_antichain(q, lt)
+        diag_count += sum(1 for w in group if fits_antichain(w, roots, lt))
+    if diag_count != count:
+        return "labelled image misses %d targets" % (diag_count - count)
+    return None
+
+
+def check_rise_valley(lt: str, n: int):
+    for vp in enumerate_vert(lt, n):
+        img_path, img_w = zeta.zeta_labelled(vp, lt)
+        if _rise_tokens(vp, lt) != _valley_tokens(img_path, img_w, lt):
+            return "label multisets differ at %s | %s" % (vp.path, vp.labels)
+    return None
+
+
+def check_stats_refined(lt: str, n: int):
+    """The refined half of the stats_identity check (type C, n <= 4)."""
+    if n <= 4:
+        for vp in enumerate_vert("C", n):
+            img_path, img_w = zeta.zeta_labelled(vp, "C")
+            if stats.dinv_c_prime(vp) != stats.area_prime(img_path, img_w, "C"):
+                return "refined dinv/area differ at %s | %s" % (vp.path, vp.labels)
+    return None
+
+
+def check_uniform(lt: str, n: int):
+    for vp in enumerate_vert(lt, n):
+        img_path, img_w = zeta.zeta_labelled(vp, lt)
+        combinatorial = to_parking_function(img_path, img_w, lt)
+        if combinatorial != uniform_oracle(vp, lt):
+            return "parking functions differ at %s | %s" % (vp.path, vp.labels)
+    return None
+
+
+def check_anderson(lt: str, n: int):
+    for vp in enumerate_vert(lt, n):
+        if not anderson_check(vp, lt):
+            return "window arithmetic fails at %s | %s" % (vp.path, vp.labels)
+    return None
+
+
+# each labelled check of verify.run_suite; stats_identity by its refined half
+LABELLED_ORACLES = {
+    "labelled_bijectivity": check_labelled_bijectivity,
+    "rise_valley": check_rise_valley,
+    "stats_identity": check_stats_refined,
+    "uniform": check_uniform,
+    "anderson": check_anderson,
+}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zetakit.affine import affine_from_json
-from zetakit.errors import CapExceeded, MalformedToken, ShapeViolation
+from zetakit.errors import CapExceeded, MalformedToken, RankMismatch, ShapeViolation, ZetakitError
 from zetakit.paths import (
     ballot,
     count_paths,
@@ -197,3 +197,43 @@ def test_json_missing_key_is_malformed(decode, d):
 def test_json_value_of_wrong_type_is_malformed(decode, d):
     with pytest.raises(MalformedToken):
         decode(d)
+
+
+@pytest.mark.parametrize("decode,d,error", [
+    (affine_from_json, {"type": "X", "window": [1]}, MalformedToken),
+    (affine_from_json, {"type": "A", "window": [1]}, MalformedToken),
+    (torus_from_json, {"type": "X", "coords": [1]}, MalformedToken),
+    (torus_from_json, {"type": "A", "coords": [1]}, MalformedToken),
+    (affine_from_json, {"type": "B", "window": []}, RankMismatch),
+    (affine_from_json, {"type": "D", "window": [1]}, RankMismatch),
+    (torus_from_json, {"type": "D", "coords": [1]}, RankMismatch),
+])
+def test_json_type_and_rank_are_checked(decode, d, error):
+    with pytest.raises(error):
+        decode(d)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-12, 12),
+    st.floats(allow_nan=False),
+    st.sampled_from(["A", "B", "C", "D", "X", "", "lattice", "ballot", "signed_lattice", "signed_ballot",
+                     "NNEE", "NENE", "E+NN", "E-NEN", "NNE-"]),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=5), max_leaves=8)
+_JSON_OBJECTS = st.dictionaries(
+    st.sampled_from(["type", "n", "window", "coords", "kind", "a", "b", "len", "steps", "mod"]),
+    st.one_of(_JSON_VALUES, st.lists(st.integers(-12, 12), max_size=5)),
+    max_size=6,
+)
+
+
+@given(st.sampled_from([path_from_json, affine_from_json, torus_from_json]),
+       st.one_of(_JSON_OBJECTS, _JSON_VALUES))
+def test_json_decoders_decode_or_raise_typed(decode, d):
+    try:
+        decode(d)
+    except ZetakitError:
+        pass
