@@ -195,25 +195,23 @@ def grassmannian_companion(mu, lattice_type: str) -> SignedPermutation:
 
 
 def in_group(w: AffinePermutation, lattice_type: str) -> bool:
-    """Membership of w in the affine permutation group of the given type.
-
-    The two parity sets are finite; they are contained in a window of
-    width (A+1)*K around [0, n] where A bounds the translation part, so a
-    direct scan is exact.
-    """
+    """Membership of w in the affine permutation group of the given type:
+    type B needs an even number of i <= n with w(i) > n, and type D also
+    an even number of i >= 0 with w(i) < 0.  Since w(s + qK) = w(s) + qK,
+    each residue s meets these finite sets in one range of q, counted in
+    closed form."""
     if lattice_type == "C":
         return True
+    if lattice_type not in ("B", "D"):
+        raise ValueError("unknown type %r" % lattice_type)
     n, K = w.n, w.period
-    amax = max(abs(v) for v in w.window) // K + 1
-    lo = n - (amax + 1) * K
-    first = sum(1 for i in range(lo, n + 1) if w(i) > n)
-    if lattice_type == "B":
-        return first % 2 == 0
-    if lattice_type == "D":
-        hi = n + (amax + 1) * K
-        second = sum(1 for i in range(0, hi + 1) if w(i) < 0)
-        return first % 2 == 0 and second % 2 == 0
-    raise ValueError("unknown type %r" % lattice_type)
+    first = second = 0
+    for b in w.window:
+        # the residues s = k and s = -k, with w(s) = b and -b: count the q
+        # with q <= 0 and w(s) + qK > n, and with q >= (s < 0) and w(s) + qK < 0
+        first += max(0, -((n - b) // K)) + max(0, -((n + b) // K))
+        second += max(0, (-b - 1) // K + 1) + max(0, (b - 1) // K)
+    return first % 2 == 0 and (lattice_type == "B" or second % 2 == 0)
 
 
 def dominant_frame_parts(lattice_type: str, n: int):

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     ShapeViolation,
 )
-from .paths import enumerate_paths, is_dyck, parse_path, path_to_json, render_path
+from .paths import parse_path, path_to_json, render_path
 from .signedperm import SignedPermutation
 from .torus import vert
 from .typespec import type_spec
@@ -85,10 +85,7 @@ def _cmd_table(args) -> int:
     spec = type_spec(lt)
     rows = []
     if args.n != 0:  # rank 0 writes the header alone
-        sources = enumerate_paths(spec.source.kind(spec.check_rank(args.n)))
-        if spec.dyck:
-            sources = filter(is_dyck, sources)
-        for p in sources:
+        for p in spec.sources(spec.check_rank(args.n)):
             image = zeta.zeta_path(p, lt)
             row = {"path": render_path(p)}
             for s in wanted:

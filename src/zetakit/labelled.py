@@ -1,22 +1,23 @@
-"""The single pass over the vertically labelled paths behind verify's
-labelled checks: labelled_bijectivity, rise_valley, uniform, anderson and
-the refined half of stats_identity.
+"""The single pass behind every verify check.
 
-For each source path the pass computes once what depends on the path
-alone: lambda and the twist signs; mu, sigma, tau*sigma and the roots its
-inverse sends the walls to; w_dom, the frame and the orbit-rep test; the
-zeta image and the positivity forms of its antichain; the slots of the
-reading word; the rise and valley token templates; and, for the refined
-identity, the order ideal of the image.  Then it runs every requested
-check on each vertical labelling of the path, a plain window tuple, and
-keeps each check's first counterexample in the order of
-torus.enumerate_vert.  The group side of uniform and anderson is group
-arithmetic on the labels, composed and inverted on raw windows, and is
+run_pass runs the requested checks at one rank in two phases.  The
+source phase enumerates the source paths once; each check runs its
+per-path test on the path's _PathData, whose fields (the zeta image
+first) are computed once, when a check first reads them, and each
+labelled check runs its per-labelling test on every vertical labelling
+of the path, a plain window tuple, in the order of torus.enumerate_vert.
+The target phase enumerates the target paths once, and a finish step
+settles each check's counts.  Each check keeps its own first
+counterexample.  A run of unlabelled checks never computes what only
+the labelled ones read: lambda, the labellings, the antichain forms,
+the reading-word slots and the Weyl group.  The group side of uniform
+and anderson is group arithmetic on the labels, on raw windows, and is
 never read off the reading word or the image it is compared with.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from . import paths, stats, zeta
@@ -29,11 +30,14 @@ from .affine import (
     translation,
 )
 from .errors import InvalidLabelling, ZetakitError
-from .paths import Path, enumerate_paths, render_path, rises, sign_of, valleys
+from .paths import Path, ballot, lattice, render_path, rises, sign_of, valleys
 from .rootposet import antichain_forms, ballot_to_antichain
 from .signedperm import SignedPermutation, count_positive, passes, passing, weyl_group
 from .torus import VertPath, label_twist, lambda_of_path, vertical_forms, wall_images
 from .typespec import type_spec
+
+# the rank up to which stats_identity also checks dinv' = area' o zeta on labelled paths
+REFINED_MAX_RANK = 4
 
 
 # A label window v is a plain tuple.  _signed(v) extends it to the signed
@@ -100,53 +104,43 @@ def _valley_template(image: Path, lt: str, n: int) -> list:
 
 
 class _Rank:
-    """What every path of one (type, rank) shares."""
+    """What every check at one (type, rank) shares."""
+
+    windows = cached_property(lambda r: [w.window for w in weyl_group(r.spec.label_type, r.n)])
+    identity = cached_property(lambda r: SignedPermutation.identity(r.n))
+    frame = cached_property(lambda r: dominant_frame(r.lt, r.n))
+    frame_inv = cached_property(lambda r: r.frame.inverse())
 
     def __init__(self, lt: str, n: int):
-        spec = type_spec(lt)
-        self.lt, self.n, self.m, self.K = lt, n, spec.modulus(n), 2 * n + 1
-        self.windows = [w.window for w in weyl_group(spec.label_type, n)]
-        self.identity = SignedPermutation.identity(n)
-        self.tau = dominant_frame_parts(lt, n)[1]
-        self.frame = dominant_frame(lt, n)
-        self.frame_inv = self.frame.inverse()
-        self.seen = set()  # (image, reading word) keys of labelled_bijectivity
-        self.image_forms = {}  # rendered image -> its antichain forms
+        self.lt, self.n, self.spec = lt, n, type_spec(lt)
+        self.sources = self.targets = 0  # paths enumerated so far
 
 
 class _PathData:
-    """The path-only data of one source path that every check uses; what
-    only uniform and anderson use is computed when they ask for it."""
+    """One source path and what the checks read of it, each field computed
+    once, when a check first reads it."""
+
+    image = cached_property(lambda d: zeta.zeta_path(d.path, d.lt))
+    key = cached_property(lambda d: render_path(d.image))
+    lam = cached_property(lambda d: lambda_of_path(d.path, d.lt))
+    labellings = cached_property(lambda d: passing(d.r.windows, *vertical_forms(d.path, d.lt)))
+    # the forms and parity a word must pass to label the image diagonally
+    fit = cached_property(lambda d: antichain_forms(d.image, d.lt))
+    # the slots of the reading word and of the label twist
+    read = cached_property(lambda d: zeta.reading_word(VertPath(d.path, d.r.identity), d.lt).window)
+    twist = cached_property(lambda d: label_twist(VertPath(d.path, d.r.identity), d.lt).window)
+    mu = cached_property(lambda d: zeta.area_vector(d.path, d.lt))
+    sigma = cached_property(lambda d: grassmannian_companion(d.mu, d.lt))
 
     def __init__(self, p: Path, r: _Rank):
-        lt = r.lt
-        self.path, self.lt = p, lt
-        self.lam = lambda_of_path(p, lt)
-        self.labellings = passing(r.windows, *vertical_forms(p, lt))
-        self.image = zeta.zeta_path(p, lt)
-        self.key = render_path(self.image)
-        self.forms, self.parity = r.image_forms[self.key] = antichain_forms(self.image, lt)
-        self.probe = VertPath(p, r.identity)
-        self.read = zeta.reading_word(self.probe, lt).window
+        self.path, self.lt, self.r = p, r.lt, r
 
-    @cached_property
-    def twist(self) -> tuple:
-        return label_twist(self.probe, self.lt).window
-
-    @cached_property
-    def mu(self) -> tuple:
-        return zeta.area_vector(self.path, self.lt)
-
-    @cached_property
-    def sigma(self) -> SignedPermutation:
-        return grassmannian_companion(self.mu, self.lt)
-
-    def item(self, v):
+    def item(self, v, fit):
         """(v, its signed slots, reading word, the word's signed slots,
-        whether the word labels the image diagonally)."""
+        whether the word passes the forms fit, or None without them)."""
         ext = _signed(v)
         word = tuple([ext[k] for k in self.read])
-        return v, ext, word, _signed(word), passes(word, self.forms, self.parity)
+        return v, ext, word, _signed(word), fit and passes(word, *fit)
 
     def misfit(self, word) -> InvalidLabelling:
         """What to_parking_function and area_prime raise for a word that
@@ -154,177 +148,340 @@ class _PathData:
         return InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), self.image))
 
 
-# Per-path set-ups: each returns the per-item test of its check, which gives
-# None when the item passes, else a "... %s | %s" counterexample template
-# for (path, labels) or the exception the check raises.
+def _unsigned(n: int):
+    """The source and target kinds of D's sign-stripped map, zeta_d_star."""
+    return lattice(n - 1, n), ballot(2 * n - 1)
 
 
-def _injectivity(d: _PathData, r: _Rank):
-    key, seen = d.key, r.seen
+class _Check:
+    """One check's outcome (None, the first counterexample, or the
+    ZetakitError it raised) and the objects it examined.  Its hooks:
+    source(d), the per-path test, gives a counterexample or None; labels(d)
+    sets up the per-labelling test, which gives None, a "... %s | %s"
+    template for (path, labels) or the exception to raise; target(q, key)
+    is the per-target test; finish() gives the outcome after both phases;
+    parts() lists what the pass runs for the check.  With reads_fit, items
+    say whether the word labels the image diagonally."""
 
-    def test(item):
-        _, _, word, _, fits = item
-        if not fits:
-            return "image of %s | %s is not diagonally labelled"
-        if (key, word) in seen:
-            return "labelled duplicate at %s | %s"
-        seen.add((key, word))
+    source = labels = target = finish = None
+    reads_fit = False
+
+    def __init__(self, r: _Rank):
+        self.r, self.outcome, self.examined = r, None, 0
+
+    def parts(self) -> tuple:
+        return (self,)
+
+
+class _Counting(_Check):
+    """The source and target counts against their closed forms; in D the
+    unsigned kinds first."""
+
+    def finish(self):
+        r, n = self.r, self.r.n
+        a, b = r.sources, r.targets
+        if r.lt == "A":
+            self.examined = a
+            catalan = math.comb(2 * n, n) // (n + 1)
+            return "Dyck count %d != %d" % (a, catalan) if a != catalan else None
+        self.examined = a + b
+        if r.lt != "D":
+            want = math.comb(2 * n, n)
+            return None if a == b == want else "counts %d, %d != %d" % (a, b, want)
+        ua, ub = (sum(1 for _ in paths.enumerate_paths(kind)) for kind in _unsigned(n))
+        want = math.comb(2 * n - 1, n - 1)
+        if not ua == ub == want:
+            self.examined = ua + ub
+            return "unsigned counts %d, %d != %d" % (ua, ub, want)
+        self.examined += ua + ub
+        return None if a == b else "signed counts %d != %d" % (a, b)
+
+
+class _Bijectivity(_Check):
+    """zeta is injective on the source paths and hits every target; in D
+    the sign-stripped map is onto as well."""
+
+    def __init__(self, r: _Rank):
+        super().__init__(r)
+        self.images, self.hit = set(), set()
+
+    def source(self, d: _PathData):
+        if d.key in self.images:
+            return "duplicate image %s" % d.key
+        self.images.add(d.key)
         return None
 
-    return test
+    def target(self, q, key):
+        self.hit.add(key)
 
-
-def _rise_valley(d: _PathData, r: _Rank):
-    rise = _rise_template(d.path, r.lt)
-    valley = _valley_template(d.image, r.lt, r.n)
-
-    def test(item):
-        _, ext, _, wext, _ = item
-        if _pair_tokens(rise, ext) != _pair_tokens(valley, wext):
-            return "label multisets differ at %s | %s"
+    def finish(self):
+        if self.images != self.hit:
+            missing = sorted(self.hit - self.images)
+            return "image misses %s" % missing[0]
+        if self.r.lt != "D":
+            return None
+        src, tgt = _unsigned(self.r.n)
+        star = {render_path(zeta.zeta_d_star(p)) for p in paths.enumerate_paths(src)}
+        self.examined += len(star)
+        if star != {render_path(q) for q in paths.enumerate_paths(tgt)}:
+            return "sign-stripped map is not onto"
         return None
 
-    return test
 
-
-def _refined_stats(d: _PathData, r: _Rank):
-    dinv = stats.dinv_c_prime_forms(d.path)
-    ideal = stats.area_prime_forms(d.image, "C")
-
-    def test(item):
-        v, _, word, _, fits = item
-        if not fits:
-            return d.misfit(word)
-        if count_positive(v, dinv) != count_positive(word, ideal):
-            return "refined dinv/area differ at %s | %s"
+class _InverseRoundtrip(_Check):
+    def source(self, d: _PathData):
+        if zeta.inverse_zeta_c(d.image) != d.path:
+            return "round trip fails at %s" % d.path
         return None
 
-    return test
-
-
-def _uniform(d: _PathData, r: _Rank):
-    # group side: u*(tau*sigma) for the twisted labels u, against the roots
-    # (tau*sigma)^-1 sends the walls through lam to
-    ts = r.tau.compose(d.sigma)
-    same_roots = wall_images(ts, d.lam, r.lt) == ballot_to_antichain(d.image, r.lt)
-    ts_win, twist = ts.window, d.twist
-
-    def test(item):
-        _, ext, word, _, fits = item
-        if not fits:
-            return d.misfit(word)
-        u = _signed([ext[k] for k in twist])
-        if not same_roots or tuple([u[t] for t in ts_win]) != word:
-            return "parking functions differ at %s | %s"
+    def target(self, q, key):
+        self.examined += 1
+        if render_path(zeta.zeta_path(zeta.inverse_zeta_c(q), "C")) != key:
+            return "round trip fails at image %s" % q
         return None
 
-    return test
 
-
-def _anderson(d: _PathData, r: _Rank):
-    # product = word * w_dom * frame^-1 = word * A for the path's affine A.
-    # With A(k) = q*K + s for |s| <= n, product(k) = word(s) + q*K, whose
-    # translation part is -q at slot word(s) > 0, or q at slot -word(s); the
-    # torus vector negates it modulo m.  The other side is the twisted
-    # labels acting on lam, modulo m.
-    n, m, K, lam, twist = r.n, r.m, r.K, d.lam, d.twist
-    w_dom = translation(d.mu).compose(coerce_affine(d.sigma)).inverse()
-    orbit_ok = r.frame.compose(w_dom.inverse()).act((0,) * n) == lam
-    parts = []
-    for a in w_dom.compose(r.frame_inv).window:
-        s = _residue(a, K)
-        parts.append((s, (a - s) // K))
-
-    def test(item):
-        _, ext, _, wext, _ = item
-        vector = [0] * n
-        for s, q in parts:
-            b = wext[s]
-            if b > 0:
-                vector[b - 1] = q % m
-            else:
-                vector[-b - 1] = -q % m
-        coords = [0] * n
-        for k, x in zip(twist, lam):
-            u = ext[k]
-            if u > 0:
-                coords[u - 1] = x % m
-            else:
-                coords[-u - 1] = -x % m
-        if vector != coords or not orbit_ok:
-            return "window arithmetic fails at %s | %s"
+class _SweepEquiv(_Check):
+    def source(self, d: _PathData):
+        if zeta.sweep_c(d.path) != d.image:
+            return "sweep differs at %s" % d.path
         return None
 
-    return test
+
+class _StatsIdentity(_Check):
+    """dinv = area o zeta on the source paths and, up to REFINED_MAX_RANK,
+    dinv' = area' o zeta on the labelled ones.  The unlabelled
+    counterexample wins: the refined half counts only where it held."""
+
+    def __init__(self, r: _Rank):
+        super().__init__(r)
+        self.refined = _RefinedStats(r)
+
+    def parts(self) -> tuple:
+        return (self, self.refined) if self.r.n <= REFINED_MAX_RANK else (self,)
+
+    def source(self, d: _PathData):
+        if stats.dinv_c(d.path) != stats.area(d.image, "C"):
+            return "dinv/area differ at %s" % d.path
+        return None
+
+    def finish(self):
+        self.examined += self.refined.examined
+        return self.refined.outcome
 
 
-_LABELLED = {
-    "labelled_bijectivity": _injectivity,
-    "rise_valley": _rise_valley,
-    "stats_identity": _refined_stats,
-    "uniform": _uniform,
-    "anderson": _anderson,
+class _RefinedStats(_Check):
+    reads_fit = True
+
+    def labels(self, d: _PathData):
+        dinv = stats.dinv_c_prime_forms(d.path)
+        ideal = stats.area_prime_forms(d.image, "C")
+
+        def test(item):
+            v, _, word, _, fits = item
+            if not fits:
+                return d.misfit(word)
+            if count_positive(v, dinv) != count_positive(word, ideal):
+                return "refined dinv/area differ at %s | %s"
+            return None
+
+        return test
+
+
+class _LabelledBijectivity(_Check):
+    """zeta is injective on the labelled paths, which are as many as the
+    points of the torus and as the diagonally labelled targets."""
+
+    reads_fit = True
+
+    def __init__(self, r: _Rank):
+        super().__init__(r)
+        self.seen = set()  # (image, reading word) keys
+        self.fits = {}  # image key -> its antichain forms
+        self.expected = r.spec.modulus(r.n) ** r.n
+        self.diagonal = 0
+
+    def labels(self, d: _PathData):
+        key, seen = d.key, self.seen
+        self.fits[key] = d.fit
+
+        def test(item):
+            _, _, word, _, fits = item
+            if not fits:
+                return "image of %s | %s is not diagonally labelled"
+            if (key, word) in seen:
+                return "labelled duplicate at %s | %s"
+            seen.add((key, word))
+            return None
+
+        return test
+
+    def target(self, q, key):
+        if self.examined == self.expected:  # else finish reports the domain size
+            forms = self.fits.get(key) or antichain_forms(q, self.r.lt)
+            self.diagonal += len(passing(self.r.windows, *forms))
+
+    def finish(self):
+        if self.examined != self.expected:
+            return "labelled domain has %d elements, torus has %d" % (self.examined, self.expected)
+        if self.diagonal != self.examined:
+            return "labelled image misses %d targets" % (self.diagonal - self.examined)
+        return None
+
+
+class _RiseValley(_Check):
+    def labels(self, d: _PathData):
+        rise = _rise_template(d.path, d.lt)
+        valley = _valley_template(d.image, d.lt, self.r.n)
+
+        def test(item):
+            _, ext, _, wext, _ = item
+            if _pair_tokens(rise, ext) != _pair_tokens(valley, wext):
+                return "label multisets differ at %s | %s"
+            return None
+
+        return test
+
+
+class _Uniform(_Check):
+    reads_fit = True
+
+    def labels(self, d: _PathData):
+        # group side: u*(tau*sigma) for the twisted labels u, against the
+        # roots (tau*sigma)^-1 sends the walls through lam to
+        ts = dominant_frame_parts(d.lt, self.r.n)[1].compose(d.sigma)
+        same_roots = wall_images(ts, d.lam, d.lt) == ballot_to_antichain(d.image, d.lt)
+        ts_win, twist = ts.window, d.twist
+
+        def test(item):
+            _, ext, word, _, fits = item
+            if not fits:
+                return d.misfit(word)
+            u = _signed([ext[k] for k in twist])
+            if not same_roots or tuple([u[t] for t in ts_win]) != word:
+                return "parking functions differ at %s | %s"
+            return None
+
+        return test
+
+
+class _Anderson(_Check):
+    def labels(self, d: _PathData):
+        # product = word * w_dom * frame^-1 = word * A for the path's affine
+        # A.  With A(k) = q*K + s for |s| <= n, product(k) = word(s) + q*K,
+        # whose translation part is -q at slot word(s) > 0, or q at slot
+        # -word(s); the torus vector negates it modulo m.  The other side is
+        # the twisted labels acting on lam, modulo m.
+        r, lam, twist = self.r, d.lam, d.twist
+        n, m, K = r.n, r.spec.modulus(r.n), 2 * r.n + 1
+        w_dom = translation(d.mu).compose(coerce_affine(d.sigma)).inverse()
+        orbit_ok = r.frame.compose(w_dom.inverse()).act((0,) * n) == lam
+        parts = []
+        for a in w_dom.compose(r.frame_inv).window:
+            s = _residue(a, K)
+            parts.append((s, (a - s) // K))
+
+        def test(item):
+            _, ext, _, wext, _ = item
+            vector = [0] * n
+            for s, q in parts:
+                b = wext[s]
+                if b > 0:
+                    vector[b - 1] = q % m
+                else:
+                    vector[-b - 1] = -q % m
+            coords = [0] * n
+            for k, x in zip(twist, lam):
+                u = ext[k]
+                if u > 0:
+                    coords[u - 1] = x % m
+                else:
+                    coords[-u - 1] = -x % m
+            if vector != coords or not orbit_ok:
+                return "window arithmetic fails at %s | %s"
+            return None
+
+        return test
+
+
+# every check, by name
+_CHECKS = {
+    "counting": _Counting,
+    "bijectivity": _Bijectivity,
+    "labelled_bijectivity": _LabelledBijectivity,
+    "inverse_roundtrip": _InverseRoundtrip,
+    "sweep_equiv": _SweepEquiv,
+    "rise_valley": _RiseValley,
+    "stats_identity": _StatsIdentity,
+    "uniform": _Uniform,
+    "anderson": _Anderson,
 }
 
 
-def labelled_pass(lt: str, n: int, names) -> dict:
-    """Run the labelled checks in names, with "stats_identity" standing for
-    its refined half, in one pass over the vertically labelled paths of
-    rank n, in enumerate_vert order.  Path-only data is computed once per
-    path; each check keeps its own first counterexample.  Returns
-    {name: (outcome, examined)}, where the outcome is None, the
-    counterexample, or the ZetakitError the check raised."""
+def run_pass(lt: str, n: int, names) -> dict:
+    """Run the checks in names at rank n: one source phase, one target
+    phase, then each check's finish step.  Returns {name: (outcome,
+    examined)}, where the outcome is None, the first counterexample, or the
+    ZetakitError the check raised."""
     r = _Rank(lt, n)
-    outcome = dict.fromkeys(names)
-    examined = dict.fromkeys(names, 0)
-    live = list(names)
-    for p in enumerate_paths(type_spec(lt).source.kind(n)):
-        try:
-            d = _PathData(p, r)
-        except ZetakitError as e:
-            # the data every check reads failed: each check still open raises it
-            outcome.update(dict.fromkeys(live, e))
-            break
-        tests = []
-        for name in live:
+    checks = {name: _CHECKS[name](r) for name in names}
+    run = [part for c in checks.values() for part in c.parts()]
+    live = run
+    for p in r.spec.sources(n):
+        r.sources += 1
+        d, tests, fit = _PathData(p, r), [], None
+        for c in live:
             try:
-                tests.append((name, _LABELLED[name](d, r)))
+                if c.source:
+                    c.examined += 1
+                    c.outcome = c.source(d)
+                if c.labels and c.outcome is None:
+                    fit = d.fit if c.reads_fit else fit
+                    tests.append((c, c.labels(d)))
             except ZetakitError as e:
-                outcome[name] = e
+                c.outcome = e
+        if tests:
+            _run_labellings(d, tests, fit)
+        live = [c for c in live if c.outcome is None]
+    takers = [c for c in run if c.target]
+    for q in r.spec.targets(n):
+        r.targets += 1
+        key = render_path(q)
+        for c in takers:
+            if c.outcome is None:
+                _settle(c, c.target, q, key)
+    for c in checks.values():
+        if c.outcome is None and c.finish:
+            _settle(c, c.finish)
+    return {name: (c.outcome, c.examined) for name, c in checks.items()}
+
+
+def _settle(c: _Check, hook, *args) -> None:
+    try:
+        c.outcome = hook(*args)
+    except ZetakitError as e:
+        c.outcome = e
+
+
+def _run_labellings(d: _PathData, tests, fit) -> None:
+    """Run the per-labelling tests on every vertical labelling of the path;
+    each stops at its check's first counterexample.  A failure to list or
+    read the labellings reaches every check still open on the path."""
+    try:
         for v in d.labellings:
-            if not tests:
-                break
-            item = d.item(v)
+            item = d.item(v, fit)
             failed = False
-            for name, test in tests:
-                examined[name] += 1
+            for c, test in tests:
+                c.examined += 1
                 bad = test(item)
                 if bad is not None:
-                    outcome[name] = bad if isinstance(bad, Exception) else bad % (p, _text(v))
+                    c.outcome = bad if isinstance(bad, Exception) else bad % (d.path, _text(v))
                     failed = True
             if failed:
-                tests = [t for t in tests if outcome[t[0]] is None]
-        live = [name for name in live if outcome[name] is None]
-        if not live:
-            break
-    if "labelled_bijectivity" in live:
-        try:
-            outcome["labelled_bijectivity"] = _domain_witness(r, examined["labelled_bijectivity"])
-        except ZetakitError as e:
-            outcome["labelled_bijectivity"] = e
-    return {name: (outcome[name], examined[name]) for name in names}
-
-
-def _domain_witness(r: _Rank, count: int):
-    """labelled_bijectivity after an injective pass: the domain must have
-    the size of the torus, and the diagonally labelled targets as many."""
-    expected = r.m**r.n
-    if count != expected:
-        return "labelled domain has %d elements, torus has %d" % (count, expected)
-    diag_count = 0
-    for q in enumerate_paths(type_spec(r.lt).target.kind(r.n)):
-        forms = r.image_forms.get(render_path(q)) or antichain_forms(q, r.lt)
-        diag_count += len(passing(r.windows, *forms))
-    if diag_count != count:
-        return "labelled image misses %d targets" % (diag_count - count)
-    return None
+                tests = [t for t in tests if t[0].outcome is None]
+                if not tests:
+                    return
+    except ZetakitError as e:
+        for c, _ in tests:
+            if c.outcome is None:
+                c.outcome = e

@@ -18,7 +18,7 @@ from .errors import (
     TypeMismatch,
 )
 from .paths import E, N, Path, ballot, lift_signed, make_path, sign_of, valleys
-from .signedperm import SignedPermutation
+from .signedperm import SignedPermutation, passes
 from .typespec import type_spec
 
 # kinds: "diff" e_j - e_i, "sum" e_i + e_j (both with i < j), "short" e_i, "long" 2e_i
@@ -287,23 +287,6 @@ def _check_label_rank(p: Path, w: SignedPermutation, lattice_type: str) -> None:
         raise RankMismatch("labels have rank %d, path has rank %d" % (w.n, n))
 
 
-def fits_antichain(w: SignedPermutation, roots, lattice_type: str) -> bool:
-    """True iff w lies in the Weyl group of the type and sends every root
-    of the antichain to a positive root."""
-    if lattice_type == "D" and not w.is_even():
-        return False
-    for r in roots:
-        if r.kind == "diff":
-            ok = w(r.j) > w(r.i)
-        elif r.kind == "sum":
-            ok = w(r.j) > -w(r.i)
-        else:
-            ok = w(r.i) > 0
-        if not ok:
-            return False
-    return True
-
-
 def root_form(r: Root) -> tuple[int, int, int, int]:
     """The positivity form (i, a, j, b) of a root, 0-based: a signed
     permutation w sends r to a positive root iff a*w[i] + b*w[j] > 0.  The
@@ -318,15 +301,18 @@ def antichain_forms(p: Path, lattice_type: str):
     """The forms of the ballot path's antichain and the sign parity of a
     diagonal labelling (even in type D, free otherwise): w labels p
     diagonally iff signedperm.passes(w.window, *antichain_forms(p, lattice_type))."""
-    forms = [root_form(r) for r in ballot_to_antichain(p, lattice_type)]
-    return forms, 0 if lattice_type == "D" else None
+    return _forms(ballot_to_antichain(p, lattice_type), lattice_type)
+
+
+def _forms(roots, lattice_type: str):
+    return [root_form(r) for r in roots], 0 if lattice_type == "D" else None
 
 
 def diag_validate(p: Path, w: SignedPermutation, lattice_type: str) -> bool:
     """True iff w is a diagonal labelling of the ballot path: it sends every
     root of the path's antichain to a positive root."""
     _check_label_rank(p, w, lattice_type)
-    return fits_antichain(w, ballot_to_antichain(p, lattice_type), lattice_type)
+    return passes(w.window, *antichain_forms(p, lattice_type))
 
 
 @dataclass(frozen=True)
@@ -341,7 +327,7 @@ class ParkingFunction:
 def to_parking_function(p: Path, w: SignedPermutation, lattice_type: str) -> ParkingFunction:
     _check_label_rank(p, w, lattice_type)
     roots = ballot_to_antichain(p, lattice_type)
-    if not fits_antichain(w, roots, lattice_type):
+    if not passes(w.window, *_forms(roots, lattice_type)):
         raise InvalidLabelling("labels %s do not fit the valleys of %s" % (w, p))
     return ParkingFunction(w, roots)
 

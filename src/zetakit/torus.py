@@ -234,11 +234,8 @@ def to_torus(vp: VertPath, lattice_type: str) -> TorusElement:
 
 def enumerate_vert(lt: str, n: int):
     spec = type_spec(lt)
-    src = paths.enumerate_paths(spec.source.kind(spec.check_rank(n)))
-    if spec.dyck:
-        src = filter(paths.is_dyck, src)
-    group = weyl_group(spec.label_type, n)
-    for p in src:
+    group = weyl_group(spec.label_type, spec.check_rank(n))
+    for p in spec.sources(n):
         forms, parity = vertical_forms(p, lt)
         for w in group:
             if passes(w.window, forms, parity):

@@ -14,9 +14,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import paths
 from .errors import RankMismatch, ShapeMismatch
 from .paths import Path, PathKind, is_dyck
 
+# every check, in report order
+CHECKS = (
+    "counting",
+    "bijectivity",
+    "labelled_bijectivity",
+    "inverse_roundtrip",
+    "sweep_equiv",
+    "rise_valley",
+    "stats_identity",
+    "uniform",
+    "anderson",
+)
 # the checks over vertically labelled paths
 LABELLED_CHECKS = ("labelled_bijectivity", "rise_valley", "uniform", "anderson")
 
@@ -54,6 +67,18 @@ class TypeSpec:
     even_sums: bool = False  # the coroot lattice has even coordinate sums
     even_signs: bool = False  # Weyl group elements change an even number of signs
 
+    def sources(self, n: int):
+        """Every source path of rank n, in enumeration order."""
+        return self._paths(self.source.kind(n))
+
+    def targets(self, n: int):
+        """Every target path of rank n, in enumeration order."""
+        return self._paths(self.target.kind(n))
+
+    def _paths(self, kind: PathKind):
+        stream = paths.enumerate_paths(kind)
+        return filter(is_dyck, stream) if self.dyck else stream
+
     def source_rank(self, p: Path) -> int:
         """The rank of a source-side path; ShapeMismatch for any other path."""
         return self._rank(p, self.source)
@@ -90,20 +115,7 @@ _SIGNED_CHECKS = ("counting", "bijectivity") + LABELLED_CHECKS
 TYPES = {
     "A": TypeSpec("A", SQUARE, SQUARE, True, 1, None, "A", ("counting", "bijectivity")),
     "B": TypeSpec("B", SQUARE, EVEN_BALLOT, False, 2, 1, "B", _SIGNED_CHECKS, True),
-    "C": TypeSpec(
-        "C", SQUARE, EVEN_BALLOT, False, 1, 1, "C",
-        (
-            "counting",
-            "bijectivity",
-            "labelled_bijectivity",
-            "inverse_roundtrip",
-            "sweep_equiv",
-            "rise_valley",
-            "stats_identity",
-            "uniform",
-            "anderson",
-        ),
-    ),
+    "C": TypeSpec("C", SQUARE, EVEN_BALLOT, False, 1, 1, "C", CHECKS),
     # labels of a type D path run over the full signed group; their sign
     # twist (torus.label_twist) is the element of the even group
     "D": TypeSpec("D", SIGNED_LATTICE, SIGNED_BALLOT, False, 2, -1, "B", _SIGNED_CHECKS, True, True),

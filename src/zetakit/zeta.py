@@ -14,8 +14,6 @@ from .paths import (
     Path,
     ballot,
     east_counts,
-    enumerate_paths,
-    is_dyck,
     lattice,
     lift_signed,
     make_path,
@@ -346,8 +344,5 @@ def inverse_by_table(p: Path, lattice_type: str) -> Path:
 
 @lru_cache(maxsize=16)
 def _zeta_table(lattice_type: str, n: int):
-    spec = type_spec(lattice_type)
-    sources = enumerate_paths(spec.source.kind(n))
-    if spec.dyck:
-        sources = filter(is_dyck, sources)
+    sources = type_spec(lattice_type).sources(n)
     return {paths.render_path(zeta_path(src, lattice_type)): src for src in sources}

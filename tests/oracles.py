@@ -8,6 +8,7 @@ frozen worked examples.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +18,10 @@ from zetakit.paths import (
     E,
     N,
     Path,
+    ballot,
     enumerate_paths,
+    is_dyck,
+    lattice,
     make_path,
     north_count,
     render_path,
@@ -28,8 +32,6 @@ from zetakit.paths import (
 from zetakit.rootposet import (
     Root,
     ballot_to_antichain,
-    diag_validate,
-    fits_antichain,
     highest_root_vector,
     is_positive_root_vector,
     positive_roots,
@@ -39,7 +41,7 @@ from zetakit.rootposet import (
 )
 from zetakit.signedperm import SignedPermutation, weyl_group
 from zetakit.torus import TorusElement, VertPath, enumerate_vert, lambda_of_path
-from zetakit.typespec import modulus, type_spec
+from zetakit.typespec import TypeSpec, modulus, type_spec
 from zetakit.verify import anderson_check, uniform_oracle
 
 # ---------------------------------------------------------------------------
@@ -565,6 +567,105 @@ def diag_validate_by_valleys(p: Path, w: SignedPermutation, lattice_type: str) -
 
 
 # ---------------------------------------------------------------------------
+# the unlabelled checks as separate loops, each enumerating the paths and
+# recomputing zeta for itself; verify's single pass must return the same
+# (counterexample, objects examined) as each of them
+
+
+def _paths(spec: TypeSpec, kind):
+    """Every path of the kind; type A keeps the Dyck paths only."""
+    stream = enumerate_paths(kind)
+    return filter(is_dyck, stream) if spec.dyck else stream
+
+
+# Each unlabelled check returns (counterexample or None, objects examined).
+
+
+def check_counting(lt: str, n: int):
+    spec = type_spec(lt)
+    if lt == "A":
+        dycks = sum(1 for _ in _paths(spec, spec.source.kind(n)))
+        catalan = math.comb(2 * n, n) // (n + 1)
+        if dycks != catalan:
+            return "Dyck count %d != %d" % (dycks, catalan), dycks
+        return None, dycks
+    a = sum(1 for _ in enumerate_paths(spec.source.kind(n)))
+    b = sum(1 for _ in enumerate_paths(spec.target.kind(n)))
+    if lt in ("B", "C"):
+        want = math.comb(2 * n, n)
+        if not a == b == want:
+            return "counts %d, %d != %d" % (a, b, want), a + b
+        return None, a + b
+    ua = sum(1 for _ in enumerate_paths(lattice(n - 1, n)))
+    ub = sum(1 for _ in enumerate_paths(ballot(2 * n - 1)))
+    want = math.comb(2 * n - 1, n - 1)
+    if not ua == ub == want:
+        return "unsigned counts %d, %d != %d" % (ua, ub, want), ua + ub
+    if a != b:
+        return "signed counts %d != %d" % (a, b), ua + ub + a + b
+    return None, ua + ub + a + b
+
+
+def check_bijectivity(lt: str, n: int):
+    spec = type_spec(lt)
+    images = set()
+    for p in _paths(spec, spec.source.kind(n)):
+        key = render_path(zeta.zeta_path(p, lt))
+        if key in images:
+            return "duplicate image %s" % key, len(images) + 1
+        images.add(key)
+    targets = {render_path(q) for q in _paths(spec, spec.target.kind(n))}
+    if images != targets:
+        missing = sorted(targets - images)
+        return "image misses %s" % missing[0], len(images)
+    if lt == "D":
+        star_images = set()
+        for p in enumerate_paths(lattice(n - 1, n)):
+            star_images.add(render_path(zeta.zeta_d_star(p)))
+        star_targets = {render_path(q) for q in enumerate_paths(ballot(2 * n - 1))}
+        if star_images != star_targets:
+            return "sign-stripped map is not onto", len(images) + len(star_images)
+        return None, len(images) + len(star_images)
+    return None, len(images)
+
+
+def check_inverse_roundtrip(lt: str, n: int):
+    spec = type_spec(lt)
+    count = 0
+    for p in enumerate_paths(spec.source.kind(n)):
+        count += 1
+        img = zeta.zeta_path(p, "C")
+        back = zeta.inverse_zeta_c(img)
+        if back != p:
+            return "round trip fails at %s" % p, count
+    for q in enumerate_paths(spec.target.kind(n)):
+        count += 1
+        if render_path(zeta.zeta_path(zeta.inverse_zeta_c(q), "C")) != render_path(q):
+            return "round trip fails at image %s" % q, count
+    return None, count
+
+
+def check_sweep_equiv(lt: str, n: int):
+    count = 0
+    for p in enumerate_paths(type_spec(lt).source.kind(n)):
+        count += 1
+        if zeta.sweep_c(p) != zeta.zeta_path(p, "C"):
+            return "sweep differs at %s" % p, count
+    return None, count
+
+
+def check_stats_identity(lt: str, n: int):
+    """dinv = area o zeta on unlabelled paths; check_stats_refined is the
+    refined half."""
+    count = 0
+    for p in enumerate_paths(type_spec(lt).source.kind(n)):
+        count += 1
+        if stats.dinv_c(p) != stats.area(zeta.zeta_path(p, "C"), "C"):
+            return "dinv/area differ at %s" % p, count
+    return None, count
+
+
+# ---------------------------------------------------------------------------
 # the labelled checks as separate loops over enumerate_vert, one item at a
 # time through the public per-item functions; verify's single labelled pass
 # must return the same first counterexample as each of them
@@ -621,7 +722,7 @@ def check_labelled_bijectivity(lt: str, n: int):
     count = 0
     for vp in enumerate_vert(lt, n):
         img_path, img_w = zeta.zeta_labelled(vp, lt)
-        if not diag_validate(img_path, img_w, lt):
+        if not diag_validate_by_valleys(img_path, img_w, lt):
             return "image of %s | %s is not diagonally labelled" % (vp.path, vp.labels)
         key = (render_path(img_path), img_w.window)
         if key in seen:
@@ -634,8 +735,7 @@ def check_labelled_bijectivity(lt: str, n: int):
     diag_count = 0
     group = weyl_group(lt, n)
     for q in enumerate_paths(type_spec(lt).target.kind(n)):
-        roots = ballot_to_antichain(q, lt)
-        diag_count += sum(1 for w in group if fits_antichain(w, roots, lt))
+        diag_count += sum(1 for w in group if diag_validate_by_valleys(q, w, lt))
     if diag_count != count:
         return "labelled image misses %d targets" % (diag_count - count)
     return None
@@ -675,6 +775,15 @@ def check_anderson(lt: str, n: int):
     return None
 
 
+# each unlabelled check of verify.run_suite; stats_identity by its unlabelled half
+UNLABELLED_ORACLES = {
+    "counting": check_counting,
+    "bijectivity": check_bijectivity,
+    "inverse_roundtrip": check_inverse_roundtrip,
+    "sweep_equiv": check_sweep_equiv,
+    "stats_identity": check_stats_identity,
+}
+
 # each labelled check of verify.run_suite; stats_identity by its refined half
 LABELLED_ORACLES = {
     "labelled_bijectivity": check_labelled_bijectivity,
@@ -683,3 +792,29 @@ LABELLED_ORACLES = {
     "uniform": check_uniform,
     "anderson": check_anderson,
 }
+
+
+# ---------------------------------------------------------------------------
+# affine group membership by scanning the integers
+
+
+def in_group_by_scan(w, lattice_type: str) -> bool:
+    """Membership of w in the affine permutation group of the given type.
+
+    The two parity sets are finite; they are contained in a window of
+    width (A+1)*K around [0, n] where A bounds the translation part, so a
+    direct scan is exact.
+    """
+    if lattice_type == "C":
+        return True
+    n, K = w.n, w.period
+    amax = max(abs(v) for v in w.window) // K + 1
+    lo = n - (amax + 1) * K
+    first = sum(1 for i in range(lo, n + 1) if w(i) > n)
+    if lattice_type == "B":
+        return first % 2 == 0
+    if lattice_type == "D":
+        hi = n + (amax + 1) * K
+        second = sum(1 for i in range(0, hi + 1) if w(i) < 0)
+        return first % 2 == 0 and second % 2 == 0
+    raise ValueError("unknown type %r" % lattice_type)

@@ -19,7 +19,24 @@ from zetakit.affine import (
 from zetakit.errors import LatticeViolation, NotBijective
 from zetakit.signedperm import SignedPermutation
 
-from oracles import C_PRODUCT, C_SIGMA, C_T_MU, C_W_DOM, C_W_DOM_INV, C_W_REG, FRAME_WINDOWS, sp
+from oracles import (
+    C_PRODUCT,
+    C_SIGMA,
+    C_T_MU,
+    C_W_DOM,
+    C_W_DOM_INV,
+    C_W_REG,
+    FRAME_WINDOWS,
+    in_group_by_scan,
+    sp,
+)
+
+
+def member(w, lt) -> bool:
+    """in_group, held to the scan over the integers it replaced."""
+    got = in_group(w, lt)
+    assert got == in_group_by_scan(w, lt), (w, lt)
+    return got
 
 
 def coroot_vectors(lt, max_n=6):
@@ -123,17 +140,17 @@ def test_grassmannian_companion_golden():
 
 def test_in_group():
     for lt in ("B", "C", "D"):
-        assert in_group(AffinePermutation.identity(5), lt)
-    assert in_group(translation((-1, 0, 0, 0, 1, 0)), "D")
+        assert member(AffinePermutation.identity(5), lt)
+    assert member(translation((-1, 0, 0, 0, 1, 0)), "D")
     # the one-sign-flip window generates types B and C but fails the second
     # parity set of type D
     s0 = from_window((-1, 2, 3, 4))
-    assert in_group(s0, "B")
-    assert in_group(s0, "C")
-    assert not in_group(s0, "D")
+    assert member(s0, "B")
+    assert member(s0, "C")
+    assert not member(s0, "D")
     # translations by odd-sum vectors leave the type B group
-    assert not in_group(translation((1, 0, 0, 0)), "B")
-    assert not in_group(translation((1, 0, 0, 0)), "D")
+    assert not member(translation((1, 0, 0, 0)), "B")
+    assert not member(translation((1, 0, 0, 0)), "D")
 
 
 def _generators(lt, n):
@@ -156,11 +173,35 @@ def test_membership_closed_under_generators(lt):
     rng = random.Random(7)
     gens = _generators(lt, 4)
     for g in gens:
-        assert in_group(g, lt)
+        assert member(g, lt)
     w = AffinePermutation.identity(4)
     for _ in range(60):
         w = w.compose(rng.choice(gens))
-        assert in_group(w, lt)
+        assert member(w, lt)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_membership_matches_the_scan_on_random_windows(n):
+    # arbitrary windows, inside the groups and out
+    rng = random.Random(n)
+    for _ in range(300):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        w = SignedPermutation(tuple(rng.choice((1, -1)) * v for v in perm))
+        q = [rng.randint(-9, 9) for _ in range(n)]
+        for lt in ("B", "C", "D"):
+            member(translation(q).compose(coerce_affine(w)), lt)
+
+
+def test_membership_of_a_huge_window_is_immediate():
+    from zetakit.affine import affine_from_json
+
+    # w(1) = 1 + 5e has e residues i <= 2 with w(i) > 2: in the B group iff e is even
+    e = 2 * 10**8
+    assert affine_from_json({"type": "B", "window": [1 + 5 * e, 2]}).window == (1 + 5 * e, 2)
+    with pytest.raises(LatticeViolation):
+        affine_from_json({"type": "B", "window": [1 + 5 * (e + 1), 2]})
+    assert member(from_window((1 + 5 * 10, 2)), "B") and not member(from_window((1 + 5 * 11, 2)), "B")
 
 
 def test_act_on_coroot_golden():
@@ -194,7 +235,7 @@ def test_decompose_recompose_random(lt):
         w = random_window(rng, n, lt)
         split = decompose(w)
         assert recompose(split) == w
-        assert in_group(w, lt)
+        assert member(w, lt)
         gr = translation(split.mu).compose(
             coerce_affine(grassmannian_companion(split.mu, lt))
         )
@@ -223,7 +264,7 @@ def test_companion_gives_grassmannian_c(mu):
 def test_companion_gives_grassmannian_d(mu):
     gr = translation(mu).compose(coerce_affine(grassmannian_companion(mu, "D")))
     assert is_grassmannian(gr, "D")
-    assert in_group(gr, "D")
+    assert member(gr, "D")
 
 
 def test_affine_json_roundtrip():
@@ -233,5 +274,6 @@ def test_affine_json_roundtrip():
     d = affine_to_json(w, "C")
     assert d == {"type": "C", "n": 6, "window": list(C_T_MU)}
     assert affine_from_json(d) == w
+    assert not member(from_window((-4, 2)), "B")
     with pytest.raises(LatticeViolation):
         affine_from_json({"type": "B", "n": 2, "window": [-4, 2]})

@@ -1,27 +1,30 @@
-"""The single labelled pass of verify against the per-check loops kept in
-oracles.py: the same first counterexample for every labelled check, on the
-real maps and on deliberately broken ones."""
+"""The single pass of verify against the per-check loops kept in
+oracles.py: the same first counterexample for every check, on the real
+maps and on deliberately broken ones."""
 
 import pytest
 
 import zetakit.labelled as labelled
+import zetakit.paths as paths
+import zetakit.signedperm as signedperm
 import zetakit.torus as torus
 import zetakit.verify as verify
 import zetakit.zeta as zmod
 
-from zetakit.errors import NotRepresentative, ZetakitError
-from zetakit.paths import enumerate_paths
-from zetakit.typespec import LABELLED_CHECKS, modulus, type_spec
-from zetakit.verify import REFINED_MAX_RANK, run_suite
+from zetakit.errors import InvalidLabelling, NotRepresentative, ZetakitError
+from zetakit.labelled import REFINED_MAX_RANK, run_pass
+from zetakit.paths import enumerate_paths, lattice, parse_path
+from zetakit.typespec import CHECKS, LABELLED_CHECKS, modulus, type_spec
+from zetakit.verify import run_suite
 
-from oracles import LABELLED_ORACLES
+from oracles import LABELLED_ORACLES, UNLABELLED_ORACLES
 
-RANKS = [("B", n) for n in (2, 3, 4)] + [("C", n) for n in (1, 2, 3, 4)] + [("D", n) for n in (2, 3, 4)]
-
-
-def _names(lt: str):
-    """The labelled checks of the type; stats_identity stands for its refined half."""
-    return [c for c in type_spec(lt).checks if c in LABELLED_CHECKS or c == "stats_identity"]
+RANKS = (
+    [("A", n) for n in (1, 2, 3, 4)]
+    + [("B", n) for n in (2, 3, 4)]
+    + [("C", n) for n in (1, 2, 3, 4)]
+    + [("D", n) for n in (2, 3, 4)]
+)
 
 
 def _shown(outcome):
@@ -29,46 +32,67 @@ def _shown(outcome):
 
 
 def _oracle(name: str, lt: str, n: int):
+    """What the check's own loop gives: (outcome, examined), with examined
+    None where the loop does not count.  stats_identity runs its unlabelled
+    loop, then its refined one where that held."""
     try:
-        return LABELLED_ORACLES[name](lt, n)
+        if name not in UNLABELLED_ORACLES:
+            return LABELLED_ORACLES[name](lt, n), None
+        outcome, examined = UNLABELLED_ORACLES[name](lt, n)
+        if name == "stats_identity" and outcome is None and n <= REFINED_MAX_RANK:
+            return LABELLED_ORACLES[name](lt, n), None
+        return outcome, examined
     except ZetakitError as e:
-        return _shown(e)
+        return _shown(e), None
 
 
 def _assert_same(lt: str, n: int):
-    """The pass and the loops agree; returns {check: (outcome, examined)}."""
-    names = _names(lt)
-    found = labelled.labelled_pass(lt, n, names)
-    assert {name: _shown(o) for name, (o, _) in found.items()} == {name: _oracle(name, lt, n) for name in names}
+    """The pass and the loops agree on every check of the type, and on the
+    objects examined where the loop counts them; returns the pass's
+    {check: (outcome, examined)}."""
+    names = type_spec(lt).checks
+    found = run_pass(lt, n, names)
+    expected = {name: _oracle(name, lt, n) for name in names}
+    assert {name: _shown(o) for name, (o, _) in found.items()} == {name: o for name, (o, _) in expected.items()}
+    for name, (_, examined) in expected.items():
+        if examined is not None:
+            assert found[name][1] == examined, name
     return found
 
 
 @pytest.mark.parametrize("lt,n", RANKS)
 def test_single_pass_matches_oracle_loops(lt, n):
     found = _assert_same(lt, n)
-    # every check passes and looked at every point of the torus
-    assert set(found.values()) == {(None, modulus(lt, n) ** n)}
+    assert all(o is None and examined > 0 for o, examined in found.values())
+    for name in LABELLED_CHECKS:
+        if name in found:
+            assert found[name][1] == modulus(lt, n) ** n
 
 
-@pytest.mark.parametrize("lt,n", [("B", 3), ("C", 3), ("D", 3)])
+@pytest.mark.parametrize("lt,n", [("A", 3), ("B", 3), ("C", 3), ("D", 3)])
 def test_each_check_alone_matches_all_together(lt, n):
-    names = _names(lt)
-    together = labelled.labelled_pass(lt, n, names)
+    names = type_spec(lt).checks
+    together = run_pass(lt, n, names)
     for name in names:
-        assert labelled.labelled_pass(lt, n, [name]) == {name: together[name]}
+        assert run_pass(lt, n, [name]) == {name: together[name]}
 
 
 def test_verify_dispatches_every_labelled_check_to_the_pass():
-    in_pass = {c for c in verify.CHECK_NAMES if verify._CHECKS[c] is None}
-    assert in_pass == set(LABELLED_CHECKS)
-    assert set(labelled._LABELLED) == in_pass | {"stats_identity"}
+    assert set(labelled._CHECKS) == set(CHECKS)
+    # the labelled checks are the ones with a per-labelling test, with the
+    # refined half of stats_identity
+    r = labelled._Rank("C", 2)
+    with_labels = {name for name, check in labelled._CHECKS.items() if any(part.labels for part in check(r).parts())}
+    assert with_labels == set(LABELLED_CHECKS) | {"stats_identity"}
 
 
 def _swap_images(monkeypatch, lt: str, n: int):
-    """A path-level fault: the second and third source paths trade images."""
+    """A path-level fault: the second and third source paths (the first two
+    at a rank with fewer) trade images."""
     true_zeta = zmod.zeta_path
-    p1, p2 = list(enumerate_paths(type_spec(lt).source.kind(n)))[1:3]
-    swap = {p1: true_zeta(p2, lt), p2: true_zeta(p1, lt)}
+    sources = list(type_spec(lt).sources(n))
+    pair = sources[1:3] if len(sources) > 2 else sources[:2]
+    swap = dict(zip(pair, reversed([true_zeta(p, lt) for p in pair])))
     monkeypatch.setattr(zmod, "zeta_path", lambda p, t: swap.get(p) or true_zeta(p, t))
 
 
@@ -84,13 +108,48 @@ def _negate_first_twist(monkeypatch, lt: str, n: int):
     monkeypatch.setattr(torus, "_twist_signs", flipped)
 
 
-@pytest.mark.parametrize("fault", [_swap_images, _negate_first_twist])
+def _zeta_raises(monkeypatch, lt: str, n: int, bad=None):
+    """A path-data fault: zeta raises on one source path, by default the
+    third (the last at a rank with fewer)."""
+    true_zeta = zmod.zeta_path
+    if bad is None:
+        sources = list(type_spec(lt).sources(n))
+        bad = sources[min(2, len(sources) - 1)]
+
+    def broken(p, t):
+        if p == bad:
+            raise InvalidLabelling("no image for %s" % p)
+        return true_zeta(p, t)
+
+    monkeypatch.setattr(zmod, "zeta_path", broken)
+
+
+FAULTS = [_swap_images, _negate_first_twist, _zeta_raises]
+
+
+@pytest.mark.parametrize("lt,n", RANKS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_pass_matches_oracle_loops_under_a_fault(monkeypatch, fault, lt, n):
+    fault(monkeypatch, lt, n)
+    found = _assert_same(lt, n)
+    # counting reads no path data
+    assert found["counting"][0] is None
+
+
+@pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("lt", ["B", "C", "D"])
 def test_faults_give_the_same_first_counterexample(monkeypatch, fault, lt):
     fault(monkeypatch, lt, 3)
     failed = {name for name, (o, _) in _assert_same(lt, 3).items() if o is not None}
-    # both faults break the labelled bijection and the uniform oracle
+    # every fault breaks the labelled bijection and the uniform oracle
     assert {"labelled_bijectivity", "uniform"} <= failed
+
+
+def test_a_path_data_fault_is_not_overwritten_by_a_count(monkeypatch):
+    _zeta_raises(monkeypatch, "C", 2, parse_path("NENE", lattice(2, 2)))
+    found = run_pass("C", 2, ["counting", "labelled_bijectivity"])
+    assert isinstance(found["labelled_bijectivity"][0], InvalidLabelling)
+    assert found["counting"] == (None, 12)
 
 
 def _companion_fails_on_third_path(monkeypatch, lt: str, n: int):
@@ -115,8 +174,8 @@ def test_an_error_reaches_only_the_checks_that_raise_it(monkeypatch, lt):
     raised = {name for name, (o, _) in found.items() if isinstance(o, NotRepresentative)}
     assert raised == {"uniform", "anderson"}
     assert all(o is None for name, (o, _) in found.items() if name not in raised)
-    for name in _names(lt):
-        (alone, count), = labelled.labelled_pass(lt, 3, [name]).values()
+    for name in type_spec(lt).checks:
+        (alone, count), = run_pass(lt, 3, [name]).values()
         assert (_shown(alone), count) == (_shown(found[name][0]), found[name][1])
 
 
@@ -125,18 +184,20 @@ def _loops_in_plan_order(lt: str, n_max: int):
     and rank by rank: the (check, rank, counterexample) rows, or the first
     error raised."""
     rows = []
-    for name in _names(lt):
+    for name in type_spec(lt).checks:
         for n in range(type_spec(lt).min_rank, n_max + 1):
-            if name == "stats_identity":
-                witness = verify._CHECKS[name](lt, n)[0] or LABELLED_ORACLES[name](lt, n)
-            else:
+            if name not in UNLABELLED_ORACLES:
                 witness = LABELLED_ORACLES[name](lt, n)
+            else:
+                witness = UNLABELLED_ORACLES[name](lt, n)[0]
+                if name == "stats_identity" and witness is None:
+                    witness = LABELLED_ORACLES[name](lt, n)
             rows.append((name, n, witness))
     return rows
 
 
-@pytest.mark.parametrize("fault", [_swap_images, _negate_first_twist])
-@pytest.mark.parametrize("lt", ["B", "C", "D"])
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("lt", ["A", "B", "C", "D"])
 def test_run_suite_under_a_fault_matches_the_loops(monkeypatch, fault, lt):
     fault(monkeypatch, lt, 3)
     try:
@@ -144,7 +205,7 @@ def test_run_suite_under_a_fault_matches_the_loops(monkeypatch, fault, lt):
     except ZetakitError as e:
         expected = _shown(e)
     try:
-        got = [(r.check, r.n, r.counterexample) for r in run_suite(lt, 3, _names(lt)).results]
+        got = [(r.check, r.n, r.counterexample) for r in run_suite(lt, 3).results]
     except ZetakitError as e:
         got = _shown(e)
     assert got == expected
@@ -161,6 +222,41 @@ def test_labelled_checks_examine_the_whole_torus(lt):
             assert r.examined == sources + m**r.n
         else:
             assert r.examined > 0
+
+
+def test_one_enumeration_per_side_and_one_zeta_per_path(monkeypatch):
+    true_enumerate, true_zeta = paths.enumerate_paths, zmod.zeta_path
+    kinds, images = [], []
+
+    def enumerate_counted(kind):
+        kinds.append(kind)
+        return true_enumerate(kind)
+
+    def zeta_counted(p, lt):
+        images.append(p)
+        return true_zeta(p, lt)
+
+    monkeypatch.setattr(paths, "enumerate_paths", enumerate_counted)
+    monkeypatch.setattr(zmod, "zeta_path", zeta_counted)
+    assert run_suite("C", 3).passed
+    spec = type_spec("C")
+    assert kinds == [kind for n in (1, 2, 3) for kind in (spec.source.kind(n), spec.target.kind(n))]
+    # one zeta per source path, and one per target for inverse_roundtrip's target side
+    sizes = [sum(1 for _ in true_enumerate(kind)) for kind in kinds]
+    assert len(images) == sum(sizes)
+
+
+@pytest.mark.parametrize("lt", "ABCD")
+def test_unlabelled_checks_never_build_the_weyl_group(monkeypatch, lt):
+    def refuse(*args):
+        raise AssertionError("an unlabelled check built a Weyl group")
+
+    monkeypatch.setattr(signedperm, "weyl_group", refuse)
+    monkeypatch.setattr(labelled, "weyl_group", refuse)
+    # above REFINED_MAX_RANK, stats_identity has no labelled half
+    unlabelled = [c for c in type_spec(lt).checks if c not in LABELLED_CHECKS]
+    found = run_pass(lt, REFINED_MAX_RANK + 1, unlabelled)
+    assert all(o is None and examined > 0 for o, examined in found.values())
 
 
 def test_examined_stays_out_of_the_report():

@@ -9,17 +9,17 @@ from zetakit.rootposet import (
     antichain_to_ballot,
     ballot_to_antichain,
     diag_validate,
-    fits_antichain,
     is_antichain,
     is_positive_root_vector,
     parse_root,
     poset_leq,
     positive_roots,
     reflection,
+    root_form,
     to_parking_function,
     to_vector,
 )
-from zetakit.signedperm import SignedPermutation, weyl_group
+from zetakit.signedperm import SignedPermutation, passes, weyl_group
 
 from oracles import (
     B_ANTICHAIN,
@@ -206,7 +206,7 @@ def test_positivity_rule_matches_root_vectors(lt):
         for r in positive_roots(lt, n):
             vec = to_vector(r, n)
             for w in weyl_group(lt, n):
-                assert fits_antichain(w, (r,), lt) == is_positive_root_vector(w.act(vec)), (r, w)
+                assert passes(w.window, [root_form(r)]) == is_positive_root_vector(w.act(vec)), (r, w)
 
 
 def test_park_count_c3():

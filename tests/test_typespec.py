@@ -1,20 +1,21 @@
 import pytest
 
+import zetakit.labelled as labelled
 import zetakit.torus as torus
 import zetakit.typespec as typespec
 from zetakit.errors import RankMismatch, ShapeMismatch
 from zetakit.paths import ballot, enumerate_paths, is_dyck, lattice, parse_path, signed_ballot
-from zetakit.typespec import LABELLED_CHECKS, type_spec
-from zetakit.verify import CHECK_NAMES
+from zetakit.typespec import CHECKS, LABELLED_CHECKS, type_spec
 
 
 def test_registry_values():
     assert [type_spec(lt).min_rank for lt in "ABCD"] == [1, 2, 1, 2]
     assert [type_spec(lt).modulus(4) for lt in "BCD"] == [9, 9, 7]
     assert type_spec("D").label_type == "B"
-    assert type_spec("C").checks == CHECK_NAMES
+    # type C runs every check, in the order of the pass's table
+    assert type_spec("C").checks == CHECKS == tuple(labelled._CHECKS)
     assert type_spec("B").checks == type_spec("D").checks == ("counting", "bijectivity") + tuple(
-        c for c in CHECK_NAMES if c in LABELLED_CHECKS
+        c for c in CHECKS if c in LABELLED_CHECKS
     )
     assert type_spec("A").checks == ("counting", "bijectivity")
     with pytest.raises(ValueError):

@@ -3,14 +3,14 @@ import json
 
 import pytest
 
-import zetakit.verify as verify
+import zetakit.labelled as labelled
 
 from zetakit.errors import CapExceeded
 from zetakit.paths import lattice, parse_path, signed_lattice
 from zetakit.rootposet import to_parking_function
 from zetakit.torus import VertPath, enumerate_vert
+from zetakit.typespec import CHECKS
 from zetakit.verify import (
-    CHECK_NAMES,
     anderson_check,
     anderson_windows,
     run_suite,
@@ -85,7 +85,7 @@ def test_run_suite_small_passes():
     report = run_suite("C", 2)
     assert report.passed
     names = {r.check for r in report.results}
-    assert names == set(CHECK_NAMES)
+    assert names == set(CHECKS)
 
 
 def test_run_suite_subset_and_shape():
@@ -120,7 +120,7 @@ def test_run_suite_unknown_check():
 ])
 def test_run_suite_rejects_checks_that_do_not_apply(monkeypatch, lt, checks):
     calls = []
-    monkeypatch.setitem(verify._CHECKS, "counting", lambda lt, n: calls.append(n))
+    monkeypatch.setattr(labelled, "run_pass", lambda lt, n, names: calls.append(n))
     with pytest.raises(ValueError):
         run_suite(lt, 2, checks)
     assert calls == []
@@ -148,7 +148,7 @@ def test_corrupted_map_is_reported(monkeypatch):
 
 def test_cap_checked_before_any_check_runs(monkeypatch):
     calls = []
-    monkeypatch.setitem(verify._CHECKS, "counting", lambda lt, n: calls.append(n))
+    monkeypatch.setattr(labelled, "run_pass", lambda lt, n, names: calls.append(n))
     with pytest.raises(CapExceeded):
         run_suite("C", 99, ["counting"])
     assert calls == []
