@@ -6,11 +6,11 @@ per-path test on the path's _PathData, whose fields (the zeta image
 first) are computed once, when a check first reads them, and each
 labelled check runs its per-labelling test on every vertical labelling
 of the path, a plain window tuple, in the order of torus.enumerate_vert.
-The target phase enumerates the target paths once, and a finish step
-settles each check's counts.  Each check keeps its own first
-counterexample.  A run of unlabelled checks never computes what only
-the labelled ones read: lambda, the labellings, the antichain forms,
-the reading-word slots and the Weyl group.  The group side of uniform
+The target phase enumerates the target paths once, if a check reads
+them, and a finish step settles each check's counts.  Each check keeps
+its own first counterexample.  A run of unlabelled checks never computes
+what only the labelled ones read: lambda, the labellings, the antichain
+forms, the reading-word slots and the Weyl group.  The group side of uniform
 and anderson is group arithmetic on the labels, on raw windows, and is
 never read off the reading word or the image it is compared with.
 """
@@ -113,7 +113,6 @@ class _Rank:
 
     def __init__(self, lt: str, n: int):
         self.lt, self.n, self.spec = lt, n, type_spec(lt)
-        self.sources = self.targets = 0  # paths enumerated so far
 
 
 class _PathData:
@@ -121,7 +120,6 @@ class _PathData:
     once, when a check first reads it."""
 
     image = cached_property(lambda d: zeta.zeta_path(d.path, d.lt))
-    key = cached_property(lambda d: render_path(d.image))
     lam = cached_property(lambda d: lambda_of_path(d.path, d.lt))
     labellings = cached_property(lambda d: passing(d.r.windows, *vertical_forms(d.path, d.lt)))
     # the forms and parity a word must pass to label the image diagonally
@@ -158,7 +156,7 @@ class _Check:
     ZetakitError it raised) and the objects it examined.  Its hooks:
     source(d), the per-path test, gives a counterexample or None; labels(d)
     sets up the per-labelling test, which gives None, a "... %s | %s"
-    template for (path, labels) or the exception to raise; target(q, key)
+    template for (path, labels) or the exception to raise; target(q)
     is the per-target test; finish() gives the outcome after both phases;
     parts() lists what the pass runs for the check.  With reads_fit, items
     say whether the word labels the image diagonally."""
@@ -177,14 +175,21 @@ class _Counting(_Check):
     """The source and target counts against their closed forms; in D the
     unsigned kinds first."""
 
+    targets = 0
+
+    def source(self, d: _PathData):
+        return None
+
+    def target(self, q):
+        self.targets += 1
+
     def finish(self):
         r, n = self.r, self.r.n
-        a, b = r.sources, r.targets
+        a, b = self.examined, self.targets
         if r.lt == "A":
-            self.examined = a
             catalan = math.comb(2 * n, n) // (n + 1)
             return "Dyck count %d != %d" % (a, catalan) if a != catalan else None
-        self.examined = a + b
+        self.examined += b
         if r.lt != "D":
             want = math.comb(2 * n, n)
             return None if a == b == want else "counts %d, %d != %d" % (a, b, want)
@@ -206,18 +211,18 @@ class _Bijectivity(_Check):
         self.images, self.hit = set(), set()
 
     def source(self, d: _PathData):
-        if d.key in self.images:
-            return "duplicate image %s" % d.key
-        self.images.add(d.key)
+        key = render_path(d.image)
+        if key in self.images:
+            return "duplicate image %s" % key
+        self.images.add(key)
         return None
 
-    def target(self, q, key):
-        self.hit.add(key)
+    def target(self, q):
+        self.hit.add(render_path(q))
 
     def finish(self):
         if self.images != self.hit:
-            missing = sorted(self.hit - self.images)
-            return "image misses %s" % missing[0]
+            return "image misses %s" % min(self.hit - self.images)
         if self.r.lt != "D":
             return None
         src, tgt = _unsigned(self.r.n)
@@ -234,9 +239,9 @@ class _InverseRoundtrip(_Check):
             return "round trip fails at %s" % d.path
         return None
 
-    def target(self, q, key):
+    def target(self, q):
         self.examined += 1
-        if render_path(zeta.zeta_path(zeta.inverse_zeta_c(q), "C")) != key:
+        if zeta.zeta_path(zeta.inverse_zeta_c(q), "C") != q:
             return "round trip fails at image %s" % q
         return None
 
@@ -302,7 +307,7 @@ class _LabelledBijectivity(_Check):
         self.diagonal = 0
 
     def labels(self, d: _PathData):
-        key, seen = d.key, self.seen
+        key, seen = render_path(d.image), self.seen
         self.fits[key] = d.fit
 
         def test(item):
@@ -316,9 +321,9 @@ class _LabelledBijectivity(_Check):
 
         return test
 
-    def target(self, q, key):
+    def target(self, q):
         if self.examined == self.expected:  # else finish reports the domain size
-            forms = self.fits.get(key) or antichain_forms(q, self.r.lt)
+            forms = self.fits.get(render_path(q)) or antichain_forms(q, self.r.lt)
             self.diagonal += len(passing(self.r.windows, *forms))
 
     def finish(self):
@@ -428,7 +433,6 @@ def run_pass(lt: str, n: int, names) -> dict:
     run = [part for c in checks.values() for part in c.parts()]
     live = run
     for p in r.spec.sources(n):
-        r.sources += 1
         d, tests, fit = _PathData(p, r), [], None
         for c in live:
             try:
@@ -443,13 +447,11 @@ def run_pass(lt: str, n: int, names) -> dict:
         if tests:
             _run_labellings(d, tests, fit)
         live = [c for c in live if c.outcome is None]
-    takers = [c for c in run if c.target]
-    for q in r.spec.targets(n):
-        r.targets += 1
-        key = render_path(q)
+    takers = [c for c in run if c.target and c.outcome is None]
+    for q in r.spec.targets(n) if takers else ():
         for c in takers:
             if c.outcome is None:
-                _settle(c, c.target, q, key)
+                _settle(c, c.target, q)
     for c in checks.values():
         if c.outcome is None and c.finish:
             _settle(c, c.finish)

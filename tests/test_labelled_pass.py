@@ -34,13 +34,15 @@ def _shown(outcome):
 def _oracle(name: str, lt: str, n: int):
     """What the check's own loop gives: (outcome, examined), with examined
     None where the loop does not count.  stats_identity runs its unlabelled
-    loop, then its refined one where that held."""
+    loop, then its refined one where that held; when both hold it examined
+    every source path and every point of the torus."""
     try:
         if name not in UNLABELLED_ORACLES:
             return LABELLED_ORACLES[name](lt, n), None
         outcome, examined = UNLABELLED_ORACLES[name](lt, n)
         if name == "stats_identity" and outcome is None and n <= REFINED_MAX_RANK:
-            return LABELLED_ORACLES[name](lt, n), None
+            refined = LABELLED_ORACLES[name](lt, n)
+            return refined, examined + modulus(lt, n) ** n if refined is None else None
         return outcome, examined
     except ZetakitError as e:
         return _shown(e), None
@@ -64,9 +66,13 @@ def _assert_same(lt: str, n: int):
 def test_single_pass_matches_oracle_loops(lt, n):
     found = _assert_same(lt, n)
     assert all(o is None and examined > 0 for o, examined in found.values())
-    for name in LABELLED_CHECKS:
-        if name in found:
-            assert found[name][1] == modulus(lt, n) ** n
+    # _assert_same pinned the unlabelled counts to the loops'
+    sources = sum(1 for _ in type_spec(lt).sources(n))
+    for name, (_, examined) in found.items():
+        if name in LABELLED_CHECKS:
+            assert examined == modulus(lt, n) ** n, name
+        elif name == "stats_identity" and n <= REFINED_MAX_RANK:
+            assert examined == sources + modulus(lt, n) ** n
 
 
 @pytest.mark.parametrize("lt,n", [("A", 3), ("B", 3), ("C", 3), ("D", 3)])
@@ -244,6 +250,31 @@ def test_one_enumeration_per_side_and_one_zeta_per_path(monkeypatch):
     # one zeta per source path, and one per target for inverse_roundtrip's target side
     sizes = [sum(1 for _ in true_enumerate(kind)) for kind in kinds]
     assert len(images) == sum(sizes)
+
+
+def test_checks_without_a_target_test_skip_the_targets(monkeypatch):
+    true_enumerate, true_render = paths.enumerate_paths, labelled.render_path
+    kinds, keys = [], []
+
+    def enumerate_counted(kind):
+        kinds.append(kind)
+        return true_enumerate(kind)
+
+    def render_counted(q):
+        keys.append(q)
+        return true_render(q)
+
+    monkeypatch.setattr(paths, "enumerate_paths", enumerate_counted)
+    monkeypatch.setattr(labelled, "render_path", render_counted)
+    spec = type_spec("C")
+    assert run_pass("C", 5, ["sweep_equiv", "stats_identity"]) == {
+        "sweep_equiv": (None, 252),
+        "stats_identity": (None, 252),
+    }
+    assert (kinds, keys) == ([spec.source.kind(5)], [])
+    # counting counts the targets without rendering them
+    assert run_pass("C", 5, ["counting"]) == {"counting": (None, 504)}
+    assert (kinds[1:], keys) == ([spec.source.kind(5), spec.target.kind(5)], [])
 
 
 @pytest.mark.parametrize("lt", "ABCD")
