@@ -10,10 +10,9 @@ vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import LatticeViolation, NotBijective, RankMismatch, json_choice, json_int, json_ints
+from .errors import LatticeViolation, NotBijective, RankMismatch, json_choice, json_int, json_ints, json_window
 from .signedperm import SignedPermutation
 from .typespec import TORUS_TYPES, type_spec
 
@@ -81,10 +80,7 @@ class AffinePermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "AffinePermutation":
-        window = json.loads(text)
-        if not isinstance(window, list) or not all(type(v) is int for v in window):
-            raise NotBijective("%r is not a list of integers" % (text,))
-        return cls(tuple(window))
+        return cls(json_window(text))
 
 
 def _residue(v: int, K: int) -> int:

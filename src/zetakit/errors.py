@@ -1,5 +1,7 @@
 """Exception types shared across the package, and JSON field lookups."""
 
+import json
+
 
 class ZetakitError(Exception):
     """Base class for all library errors."""
@@ -85,6 +87,18 @@ def json_str(d, key: str) -> str:
     if not isinstance(v, str):
         raise MalformedToken("%r must be a string, got %r" % (key, v))
     return v
+
+
+def json_window(text: str) -> tuple[int, ...]:
+    """The integers of a window written as a JSON list: MalformedToken for
+    text that is not JSON, NotBijective for any other value."""
+    try:
+        window = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedToken("%r is not JSON: %s" % (text, e)) from None
+    if not isinstance(window, list) or not all(type(v) is int for v in window):
+        raise NotBijective("%r is not a list of integers" % (text,))
+    return tuple(window)
 
 
 def json_choice(d, key: str, choices: tuple[str, ...]) -> str:

@@ -18,7 +18,6 @@ never read off the reading word or the image it is compared with.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 from . import paths, stats, zeta
 from .affine import (
@@ -30,7 +29,7 @@ from .affine import (
     translation,
 )
 from .errors import InvalidLabelling, ZetakitError
-from .paths import Path, ballot, lattice, render_path, rises, sign_of, valleys
+from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned, valleys
 from .rootposet import antichain_forms, ballot_to_antichain
 from .signedperm import SignedPermutation, count_positive, passes, passing, weyl_group
 from .torus import VertPath, label_twist, lambda_of_path, vertical_forms, wall_images
@@ -103,13 +102,29 @@ def _valley_template(image: Path, lt: str, n: int) -> list:
     return out
 
 
+class _lazy:
+    """A field computed on its first read and stored in the instance dict,
+    where later reads find it.  functools.cached_property does the same but
+    takes a lock on every first read on Python 3.11."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Rank:
     """What every check at one (type, rank) shares."""
 
-    windows = cached_property(lambda r: [w.window for w in weyl_group(r.spec.label_type, r.n)])
-    identity = cached_property(lambda r: SignedPermutation.identity(r.n))
-    frame = cached_property(lambda r: dominant_frame(r.lt, r.n))
-    frame_inv = cached_property(lambda r: r.frame.inverse())
+    windows = _lazy(lambda r: [w.window for w in weyl_group(r.spec.label_type, r.n)])
+    identity = _lazy(lambda r: SignedPermutation.identity(r.n))
+    frame = _lazy(lambda r: dominant_frame(r.lt, r.n))
+    frame_inv = _lazy(lambda r: r.frame.inverse())
 
     def __init__(self, lt: str, n: int):
         self.lt, self.n, self.spec = lt, n, type_spec(lt)
@@ -119,16 +134,16 @@ class _PathData:
     """One source path and what the checks read of it, each field computed
     once, when a check first reads it."""
 
-    image = cached_property(lambda d: zeta.zeta_path(d.path, d.lt))
-    lam = cached_property(lambda d: lambda_of_path(d.path, d.lt))
-    labellings = cached_property(lambda d: passing(d.r.windows, *vertical_forms(d.path, d.lt)))
+    image = _lazy(lambda d: zeta.zeta_path(d.path, d.lt))
+    lam = _lazy(lambda d: lambda_of_path(d.path, d.lt))
+    labellings = _lazy(lambda d: passing(d.r.windows, *vertical_forms(d.path, d.lt)))
     # the forms and parity a word must pass to label the image diagonally
-    fit = cached_property(lambda d: antichain_forms(d.image, d.lt))
+    fit = _lazy(lambda d: antichain_forms(d.image, d.lt))
     # the slots of the reading word and of the label twist
-    read = cached_property(lambda d: zeta.reading_word(VertPath(d.path, d.r.identity), d.lt).window)
-    twist = cached_property(lambda d: label_twist(VertPath(d.path, d.r.identity), d.lt).window)
-    mu = cached_property(lambda d: zeta.area_vector(d.path, d.lt))
-    sigma = cached_property(lambda d: grassmannian_companion(d.mu, d.lt))
+    read = _lazy(lambda d: zeta.reading_word(VertPath(d.path, d.r.identity), d.lt).window)
+    twist = _lazy(lambda d: label_twist(VertPath(d.path, d.r.identity), d.lt).window)
+    mu = _lazy(lambda d: zeta.area_vector(d.path, d.lt))
+    sigma = _lazy(lambda d: grassmannian_companion(d.mu, d.lt))
 
     def __init__(self, p: Path, r: _Rank):
         self.path, self.lt, self.r = p, r.lt, r
@@ -144,11 +159,6 @@ class _PathData:
         """What to_parking_function and area_prime raise for a word that
         does not label the image diagonally."""
         return InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), self.image))
-
-
-def _unsigned(n: int):
-    """The source and target kinds of D's sign-stripped map, zeta_d_star."""
-    return lattice(n - 1, n), ballot(2 * n - 1)
 
 
 class _Check:
@@ -193,7 +203,8 @@ class _Counting(_Check):
         if r.lt != "D":
             want = math.comb(2 * n, n)
             return None if a == b == want else "counts %d, %d != %d" % (a, b, want)
-        ua, ub = (sum(1 for _ in paths.enumerate_paths(kind)) for kind in _unsigned(n))
+        kinds = (unsigned(r.spec.source.kind(n)), unsigned(r.spec.target.kind(n)))
+        ua, ub = (sum(1 for _ in paths.enumerate_paths(kind)) for kind in kinds)
         want = math.comb(2 * n - 1, n - 1)
         if not ua == ub == want:
             self.examined = ua + ub
@@ -204,17 +215,21 @@ class _Counting(_Check):
 
 class _Bijectivity(_Check):
     """zeta is injective on the source paths and hits every target; in D
-    the sign-stripped map is onto as well."""
+    the sign-stripped map zeta* is onto as well.  Every unsigned path is its
+    own +1 lift with the sign stripped, so zeta* is read off the images of
+    the source paths of sign +1."""
 
     def __init__(self, r: _Rank):
         super().__init__(r)
-        self.images, self.hit = set(), set()
+        self.images, self.hit, self.star = set(), set(), set()
 
     def source(self, d: _PathData):
         key = render_path(d.image)
         if key in self.images:
             return "duplicate image %s" % key
         self.images.add(key)
+        if self.r.lt == "D" and sign_of(d.path) > 0:
+            self.star.add(render_path(strip_signs(d.image)))
         return None
 
     def target(self, q):
@@ -225,10 +240,9 @@ class _Bijectivity(_Check):
             return "image misses %s" % min(self.hit - self.images)
         if self.r.lt != "D":
             return None
-        src, tgt = _unsigned(self.r.n)
-        star = {render_path(zeta.zeta_d_star(p)) for p in paths.enumerate_paths(src)}
-        self.examined += len(star)
-        if star != {render_path(q) for q in paths.enumerate_paths(tgt)}:
+        self.examined += len(self.star)
+        targets = paths.enumerate_paths(unsigned(self.r.spec.target.kind(self.r.n)))
+        if self.star != {render_path(q) for q in targets}:
             return "sign-stripped map is not onto"
         return None
 

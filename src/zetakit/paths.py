@@ -1,12 +1,15 @@
 """Lattice paths and ballot paths, plain or carrying one signed East step.
 
 Steps are written N, E, E+ and E- in path text.  All indices in public
-contracts are 1-based.  Signed kinds keep the sign as a separate flag so
-that sign-blind algorithms can work on the bare N/E sequence.
+contracts are 1-based.  A signed kind is its unsigned kind (`unsigned`)
+plus one signed East step at a slot fixed by the steps; this module alone
+places it.  Paths keep the sign as a separate flag so that sign-blind
+algorithms can work on the bare N/E sequence.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -118,21 +121,33 @@ def _tokenize(text: str) -> list[str]:
     return toks
 
 
-def _expected_counts(kind: PathKind) -> tuple[int | None, int | None, int]:
-    """(east, north, length) demanded by the kind; None means unconstrained."""
-    if kind.shape == "lattice":
-        a, b = kind.params
-        return a, b, a + b
-    if kind.shape == "ballot":
-        (length,) = kind.params
-        return None, None, length
+def unsigned(kind: PathKind) -> PathKind:
+    """The kind with its sign forgotten: signed_lattice(n) is lattice(n-1, n),
+    signed_ballot(n) is ballot(2n-1), and any other kind is itself."""
     if kind.shape == "signed_lattice":
         (n,) = kind.params
-        return n - 1, n, 2 * n - 1
+        return lattice(n - 1, n)
     if kind.shape == "signed_ballot":
         (n,) = kind.params
-        return None, None, 2 * n - 1
-    raise ShapeViolation("unknown path kind %s" % kind.shape)
+        return ballot(2 * n - 1)
+    return kind
+
+
+def _east_allowed(east: int, north: int) -> bool:
+    """The prefix rule of ballot and Dyck paths: an East step may follow a
+    prefix with `east` East and `north` North steps."""
+    return east < north
+
+
+def _is_ballot(steps) -> bool:
+    """True iff no prefix of the steps has more East than North steps."""
+    east = 0
+    for k, s in enumerate(steps):
+        if s == E:
+            if not _east_allowed(east, k - east):
+                return False
+            east += 1
+    return True
 
 
 def _signed_slot(steps: tuple[str, ...], kind: PathKind) -> int | None:
@@ -152,35 +167,27 @@ def _signed_slot(steps: tuple[str, ...], kind: PathKind) -> int | None:
     return None
 
 
-def make_path(steps, kind: PathKind, sign_pos: int | None = None, sign: int = 1) -> Path:
-    """Validate and build a path of the given kind."""
+def make_path(steps, kind: PathKind, sign: int = 1) -> Path:
+    """Validate and build a path of the given kind.  On a signed kind the
+    East step at the kind's slot carries the sign; a path with no such
+    step ignores it."""
     steps = tuple(steps)
-    east, north, length = _expected_counts(kind)
+    plain = unsigned(kind)
+    if plain.shape not in ("lattice", "ballot"):
+        raise ShapeViolation("unknown path kind %s" % kind.shape)
+    length = sum(plain.params)  # a + b for lattice(a, b)
     if len(steps) != length:
         raise ShapeViolation("expected %d steps for %s, got %d" % (length, kind, len(steps)))
     if any(s not in (N, E) for s in steps):
         raise ShapeViolation("steps must be N or E")
-    ne = sum(1 for s in steps if s == E)
-    if east is not None and ne != east:
-        raise ShapeViolation("expected %d East steps for %s, got %d" % (east, kind, ne))
-    if north is not None and len(steps) - ne != north:
-        raise ShapeViolation("expected %d North steps for %s" % (north, kind))
-    if kind.shape in ("ballot", "signed_ballot"):
-        n_seen = e_seen = 0
-        for s in steps:
-            if s == N:
-                n_seen += 1
-            else:
-                e_seen += 1
-            if e_seen > n_seen:
-                raise ShapeViolation("ballot prefix condition violated")
+    east = steps.count(E)
+    if plain.shape == "lattice" and east != plain.params[0]:
+        raise ShapeViolation("expected %d East steps for %s, got %d" % (plain.params[0], kind, east))
+    if plain.shape == "ballot" and not _is_ballot(steps):
+        raise ShapeViolation("ballot prefix condition violated")
     slot = _signed_slot(steps, kind)
     if slot is None:
-        if sign_pos is not None:
-            raise ShapeViolation("no signed step allowed at position %s for %s" % (sign_pos, kind))
         return Path(steps, kind)
-    if sign_pos != slot:
-        raise ShapeViolation("the East step at position %d must carry a sign" % (slot + 1))
     if sign not in (1, -1):
         raise ShapeViolation("sign must be +1 or -1")
     return Path(steps, kind, slot, sign)
@@ -189,19 +196,15 @@ def make_path(steps, kind: PathKind, sign_pos: int | None = None, sign: int = 1)
 def parse_path(text: str, kind: PathKind) -> Path:
     """Parse path text; round-trips with render_path."""
     toks = _tokenize(text)
-    steps = []
-    sign_pos = None
-    sign = 1
-    for i, t in enumerate(toks):
-        if t in (N, E):
-            steps.append(t)
-        else:
-            if sign_pos is not None:
-                raise ShapeViolation("at most one signed step is allowed")
-            steps.append(E)
-            sign_pos = i
-            sign = 1 if t == "E+" else -1
-    return make_path(steps, kind, sign_pos, sign)
+    signed = [i for i, t in enumerate(toks) if t not in (N, E)]
+    if len(signed) > 1:
+        raise ShapeViolation("at most one signed step is allowed")
+    p = make_path([t[0] for t in toks], kind, -1 if "E-" in toks else 1)
+    if p.sign_pos is None and signed:
+        raise ShapeViolation("no signed step allowed at position %d for %s" % (signed[0] + 1, kind))
+    if p.sign_pos is not None and signed != [p.sign_pos]:
+        raise ShapeViolation("the East step at position %d must carry a sign" % (p.sign_pos + 1))
+    return p
 
 
 def path_to_json(p: Path) -> dict:
@@ -278,46 +281,24 @@ def east_counts(p: Path) -> tuple[int, ...]:
 
 
 def is_dyck(p: Path) -> bool:
-    """True for lattice paths staying weakly above the main diagonal."""
-    n_seen = e_seen = 0
-    for s in p.steps:
-        if s == N:
-            n_seen += 1
-        else:
-            e_seen += 1
-        if e_seen > n_seen:
-            return False
-    return True
+    """True for lattice paths staying weakly above the main diagonal, and
+    for every ballot path."""
+    return _is_ballot(p.steps)
 
 
 def strip_signs(p: Path) -> Path:
     """Forget the sign; signed kinds map to their unsigned counterparts."""
-    if p.kind.shape == "signed_lattice":
-        (n,) = p.kind.params
-        return make_path(p.steps, lattice(n - 1, n))
-    if p.kind.shape == "signed_ballot":
-        (n,) = p.kind.params
-        return make_path(p.steps, ballot(2 * n - 1))
-    return Path(p.steps, p.kind)
+    return Path(p.steps, unsigned(p.kind))
 
 
 def lift_signed(p: Path, sign: int = 1) -> Path:
-    """Inverse of strip_signs, attaching the given sign where the kind
-    requires one."""
-    if p.kind.shape == "lattice":
-        a, b = p.kind.params
-        if a != b - 1:
-            raise ShapeMismatch("only lattice(n-1,n) paths lift to signed paths")
-        kind = signed_lattice(b)
-    elif p.kind.shape == "ballot":
-        (length,) = p.kind.params
-        if length % 2 == 0:
-            raise ShapeMismatch("only odd-length ballot paths lift to signed paths")
-        kind = signed_ballot((length + 1) // 2)
-    else:
-        raise ShapeMismatch("path is already signed")
-    slot = _signed_slot(p.steps, kind)
-    return make_path(p.steps, kind, slot, sign if slot is not None else 1)
+    """Inverse of strip_signs: the path of the signed kind whose unsigned
+    kind is p's, with the given sign on its slot, if it has one."""
+    n = (len(p.steps) + 1) // 2
+    kind = {"lattice": signed_lattice(n), "ballot": signed_ballot(n)}.get(p.kind.shape)
+    if kind is None or unsigned(kind) != p.kind:
+        raise ShapeMismatch("%s paths do not lift to signed paths" % p.kind)
+    return make_path(p.steps, kind, sign)
 
 
 def segment(direction: str, sign: int, j: int, values) -> str:
@@ -343,12 +324,15 @@ def segment(direction: str, sign: int, j: int, values) -> str:
 
 def count_paths(kind: PathKind) -> int:
     """Exact cardinality of the enumeration for this kind."""
+    if min(unsigned(kind).params) < 0:
+        raise ShapeViolation("%s asks for a negative number of steps" % kind)
     if kind.shape == "lattice":
         a, b = kind.params
         return math.comb(a + b, a)
     if kind.shape == "ballot":
         (length,) = kind.params
         return math.comb(length, length // 2)
+    # the unsigned paths, and once more those with a signed slot
     if kind.shape == "signed_lattice":
         (n,) = kind.params
         return math.comb(2 * n - 1, n - 1) + (math.comb(2 * n - 2, n - 2) if n >= 2 else 0)
@@ -359,53 +343,62 @@ def count_paths(kind: PathKind) -> int:
 
 
 def enumerate_paths(kind: PathKind) -> Iterator[Path]:
-    """Complete, duplicate-free stream in lexicographic text order."""
+    """Complete, duplicate-free stream in lexicographic text order.  A
+    signed kind lifts the stream of its unsigned kind: each unsigned path
+    once, or twice when it has a signed slot, where the E+ lifts of the
+    paths that share the steps up to the slot come before their E- lifts."""
     limit = enumeration_cap()
     total = count_paths(kind)
     if total > limit:
         raise CapExceeded("%s has %d paths, cap is %d" % (kind, total, limit))
+    if unsigned(kind) == kind:
+        return (Path(steps, kind) for steps in _step_sequences(kind))
+    return _lifts(kind)
 
-    east, north, length = _expected_counts(kind)
-    if east is None:
-        # ballot kinds: East count is free, bounded by the prefix rule
-        east_max = length // 2
-    ballot_rule = kind.shape in ("ballot", "signed_ballot")
-    sign_mode = None
-    nn = 0
-    if kind.shape == "signed_lattice":
-        sign_mode = "leading"
-    elif kind.shape == "signed_ballot":
-        sign_mode = "after_north"
-        (nn,) = kind.params
 
-    steps: list[str] = []
+def _step_sequences(kind: PathKind, prefix: tuple[str, ...] = ()) -> Iterator[tuple[str, ...]]:
+    """The step tuples of an unsigned kind that start with the prefix, in
+    text order (E before N)."""
+    east = prefix.count(E)
+    if kind.shape == "lattice":
+        a, b = kind.params
+        for rest in itertools.combinations(range(len(prefix), a + b), a - east):
+            steps = list(prefix) + [N] * (a + b - len(prefix))
+            for i in rest:
+                steps[i] = E
+            yield tuple(steps)
+        return
+    (length,) = kind.params
+    # depth first over the prefixes that keep the prefix rule; the E branch
+    # is pushed last, so it is taken first
+    stack = [(prefix, east, len(prefix) - east)]
+    while stack:
+        prefix, east, north = stack.pop()
+        if east + north == length:
+            yield prefix
+            continue
+        stack.append((prefix + (N,), east, north + 1))
+        if _east_allowed(east, north):
+            stack.append((prefix + (E,), east + 1, north))
 
-    def rec(e_used: int, n_used: int, sign_pos: int | None, sg: int) -> Iterator[Path]:
-        if e_used + n_used == length:
-            yield Path(tuple(steps), kind, sign_pos, sg)
-            return
-        pos = e_used + n_used
-        e_ok = (e_used < east) if east is not None else (e_used < east_max)
-        if ballot_rule and e_used >= n_used:
-            e_ok = False
-        if north is not None and n_used >= north and not e_ok:
-            return
-        if e_ok:
-            signed_here = (sign_mode == "leading" and pos == 0) or (
-                sign_mode == "after_north" and n_used == nn and pos > 0 and steps[-1] == N
-            )
-            if signed_here:
-                for s in (1, -1):
-                    steps.append(E)
-                    yield from rec(e_used + 1, n_used, pos, s)
-                    steps.pop()
-            else:
-                steps.append(E)
-                yield from rec(e_used + 1, n_used, sign_pos, sg)
-                steps.pop()
-        if north is None or n_used < north:
-            steps.append(N)
-            yield from rec(e_used, n_used + 1, sign_pos, sg)
-            steps.pop()
 
-    return rec(0, 0, None, 1)
+def _lifts(kind: PathKind) -> Iterator[Path]:
+    """The paths of a signed kind over the step tuples of its unsigned kind.
+    The tuples that share the steps up to a slot follow each other in text
+    order; they are enumerated again for each sign, so that none is held in
+    memory, and then skipped in the stream."""
+    plain = unsigned(kind)
+    stream = _step_sequences(plain)
+    for steps in stream:
+        slot = _signed_slot(steps, kind)
+        if slot is None:
+            yield Path(steps, kind)
+            continue
+        for sign in (1, -1):
+            size = 0
+            for lifted in _step_sequences(plain, steps[: slot + 1]):
+                size += 1
+                yield Path(lifted, kind, slot, sign)
+        # steps was the first of them
+        for _ in itertools.islice(stream, size - 1):
+            pass

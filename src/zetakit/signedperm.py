@@ -9,12 +9,11 @@ subgroup is a predicate.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import NotBijective, RankMismatch
+from .errors import NotBijective, RankMismatch, json_window
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,7 @@ class SignedPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "SignedPermutation":
-        window = json.loads(text)
-        if not isinstance(window, list) or not all(type(v) is int for v in window):
-            raise NotBijective("%r is not a list of integers" % (text,))
-        return cls(tuple(window))
+        return cls(json_window(text))
 
 
 # A positivity form (i, a, j, b) tests a*win[i] + b*win[j] > 0 on a window:

@@ -48,28 +48,10 @@ def area_prime_forms(p: Path, lattice_type: str) -> list:
     return [root_form(x) for x in positive_roots(lattice_type, n) if not any(x in ups[y] for y in anti)]
 
 
-def _row_area_vector(p: Path) -> tuple[int, ...]:
-    """Type C area vector read bottom row first."""
-    mu = area_vector(p, "C")
-    return tuple(reversed(mu))
-
-
 def dinv_c(p: Path) -> int:
-    """Diagonal inversions of a square lattice path; pairs may count twice."""
-    rho = _row_area_vector(p)
-    n = len(rho)
-    total = sum(1 for v in rho if v == 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rho[i] == rho[j]:
-                total += 1
-            if rho[i] == rho[j] + 1:
-                total += 1
-            if rho[i] == -rho[j]:
-                total += 1
-            if rho[i] == -rho[j] + 1:
-                total += 1
-    return total
+    """Diagonal inversions of a square lattice path; pairs may count twice.
+    Each form of dinv_c_prime_forms is one inversion."""
+    return len(dinv_c_prime_forms(p))
 
 
 def dinv_c_prime(vp: VertPath) -> int:
@@ -81,7 +63,7 @@ def dinv_c_prime_forms(p: Path) -> list:
     """The forms (i, a, j, b) whose count of a*u[i] + b*u[j] > 0 over labels
     u is dinv_c_prime: a zero row with a negative label, and for each pair
     of rows i < j the label comparisons their area values call for."""
-    rho = _row_area_vector(p)
+    rho = tuple(reversed(area_vector(p, "C")))  # the area vector, bottom row first
     n = len(rho)
     forms = [(i, -1, 0, 0) for i in range(n) if rho[i] == 0]
     for i in range(n):

@@ -128,7 +128,7 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
     if any(a > b for a, b in zip(pi, pi[1:])):
         raise NotRepresentative("east counts %r not increasing" % (pi,))
     kind = spec.source.kind(n)
-    emax = paths._expected_counts(kind)[0]
+    emax = paths.unsigned(kind).params[0]  # the kind is lattice(emax, n) or its signed lift
     if pi[-1] > emax:
         raise NotRepresentative("east count %d exceeds width %d" % (pi[-1], emax))
     # the k-th North step (from 0) has pi[k] East steps and k North steps before it
@@ -136,8 +136,7 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
     for k, v in enumerate(pi):
         steps.insert(v + k, paths.N)
     # only type D has representatives with a negative first coordinate
-    slot = paths._signed_slot(tuple(steps), kind)
-    return make_path(steps, kind, slot, -1 if lam[0] < 0 else 1)
+    return make_path(steps, kind, -1 if lam[0] < 0 else 1)
 
 
 def wall_roots(lam, lattice_type: str) -> tuple[tuple[int, ...], ...]:

@@ -107,12 +107,8 @@ def zeta_path(p: Path, lattice_type: str) -> Path:
         parts.append(segment("right_to_left", -1, 0, mu))
         parts.append((N + segment("left_to_right", 1, 0, mu))[:-1])
         return make_path(tuple("".join(parts)), kind)
-    steps = tuple(_segments(mu, top, drop_last=True))
-    slot = paths._signed_slot(steps, kind)
-    if slot is None:
-        return make_path(steps, kind)
     sign = -1 if sum(1 for v in mu if v > 0) % 2 else 1
-    return make_path(steps, kind, slot, sign)
+    return make_path(tuple(_segments(mu, top, drop_last=True)), kind, sign)
 
 
 def reading_word(vp: VertPath, lattice_type: str) -> SignedPermutation:

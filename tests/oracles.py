@@ -243,10 +243,10 @@ def area_by_ideal(p: Path, lattice_type: str) -> int:
 # antichain -> ballot path by a search over candidate valley sets
 
 
-def _path_from_valleys(vs, lattice_type: str, n: int, sign: int, want_signed_slot: bool | None):
+def _path_from_valleys(vs, lattice_type: str, n: int, sign: int, want_slot: bool | None):
     """Rebuild the ballot path with the given valley set, or None.
 
-    For type D, `sign` is the requested sign and `want_signed_slot` pins
+    For type D, `sign` is the requested sign and `want_slot` pins
     whether the n-th North step must be followed by an East step.
     """
     length = 2 * n if lattice_type in ("B", "C") else 2 * n - 1
@@ -278,13 +278,11 @@ def _path_from_valleys(vs, lattice_type: str, n: int, sign: int, want_signed_slo
         return None
     if lattice_type in ("B", "C"):
         return plain
-    lifted_kind = paths.signed_ballot(n)
-    slot = paths._signed_slot(tuple(steps), lifted_kind)
-    if want_signed_slot is not None and (slot is not None) != want_signed_slot:
+    lifted = paths.lift_signed(plain, sign)
+    if want_slot is not None and (lifted.sign_pos is not None) != want_slot:
         return None
-    if slot is None and sign < 0:
-        return None
-    return make_path(steps, lifted_kind, slot, sign if slot is not None else 1)
+    # a sign of -1 needs a signed slot
+    return lifted if lifted.sign == sign else None
 
 
 def antichain_to_ballot_by_search(roots, lattice_type: str, n: int) -> Path:
@@ -818,3 +816,63 @@ def in_group_by_scan(w, lattice_type: str) -> bool:
         second = sum(1 for i in range(0, hi + 1) if w(i) < 0)
         return first % 2 == 0 and second % 2 == 0
     raise ValueError("unknown type %r" % lattice_type)
+
+
+# ---------------------------------------------------------------------------
+# path enumeration by one recursion that places the signed step as it goes
+
+
+def enumerate_paths_by_recursion(kind) -> list[Path]:
+    """Every path of the kind in text order, E before N at each step, with
+    E+ before E- on the signed step of a signed kind."""
+    shape, params = kind.shape, kind.params
+    if shape == "lattice":
+        east, north = params
+        length = east + north
+    elif shape == "signed_lattice":
+        east, north = params[0] - 1, params[0]
+        length = east + north
+    else:
+        length = params[0] if shape == "ballot" else 2 * params[0] - 1
+        east = north = None  # bounded by the prefix rule only
+    ballot_rule = shape in ("ballot", "signed_ballot")
+    out, steps = [], []
+
+    def signed_here(pos: int, n_used: int) -> bool:
+        if shape == "signed_lattice":
+            return pos == 0
+        return shape == "signed_ballot" and n_used == params[0] and pos > 0 and steps[-1] == N
+
+    def rec(e_used: int, n_used: int, sign_pos, sg: int) -> None:
+        pos = e_used + n_used
+        if pos == length:
+            out.append(Path(tuple(steps), kind, sign_pos, sg))
+            return
+        e_ok = (east is None or e_used < east) and not (ballot_rule and e_used >= n_used)
+        if e_ok:
+            signed = signed_here(pos, n_used)
+            steps.append(E)
+            if signed:
+                rec(e_used + 1, n_used, pos, 1)
+                rec(e_used + 1, n_used, pos, -1)
+            else:
+                rec(e_used + 1, n_used, sign_pos, sg)
+            steps.pop()
+        if north is None or n_used < north:
+            steps.append(N)
+            rec(e_used, n_used + 1, sign_pos, sg)
+            steps.pop()
+
+    rec(0, 0, None, 1)
+    return out
+
+
+def dinv_c_by_cases(p: Path) -> int:
+    """Diagonal inversions of a square lattice path by the four comparisons
+    of row area values; pairs may count twice."""
+    rho = tuple(reversed(zeta.area_vector(p, "C")))
+    total = sum(1 for v in rho if v == 0)
+    for i, j in itertools.combinations(range(len(rho)), 2):
+        a, b = rho[i], rho[j]
+        total += (a == b) + (a == b + 1) + (a == -b) + (a == -b + 1)
+    return total

@@ -16,7 +16,7 @@ from zetakit.affine import (
     recompose,
     translation,
 )
-from zetakit.errors import LatticeViolation, NotBijective
+from zetakit.errors import LatticeViolation, MalformedToken, NotBijective
 from zetakit.signedperm import SignedPermutation
 
 from oracles import (
@@ -78,6 +78,13 @@ def test_from_window_golden():
 def test_from_text_rejects_non_windows(text):
     with pytest.raises(NotBijective):
         AffinePermutation.from_text(text)
+
+
+@pytest.mark.parametrize("decode", [AffinePermutation.from_text, SignedPermutation.from_text], ids=["affine", "signed"])
+@pytest.mark.parametrize("text", ["[1,", "", "[1 2]", "x"])
+def test_from_text_rejects_text_that_is_not_json(decode, text):
+    with pytest.raises(MalformedToken):
+        decode(text)
 
 
 def test_translation_golden():

@@ -179,6 +179,10 @@ def test_output_byte_stable(capsys):
     (["verify", "--type", "C", "--n", "2", "--check", ","], 2, "parse error"),
     (["verify", "--type", "C", "--n", "2", "--check", ""], 2, "parse error"),
     (["verify", "--type", "B", "--n", "2", "--check", "counting,sweep_equiv"], 2, "parse error"),
+    (["zeta", "--type", "D", "--path", "NE-NNENENE"], 3, "no signed step allowed at position 2"),
+    (["zeta", "--type", "D", "--path", "EEENNNNNE"], 3, "the East step at position 1 must carry a sign"),
+    (["zeta", "--type", "B", "--path", "NE+EENN"], 3, "no signed step allowed at position 2"),
+    (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[1,"], 2, "parse error: '[1,' is not JSON"),
 ])
 def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error):
     if argv[0] == "table":

@@ -252,6 +252,20 @@ def test_one_enumeration_per_side_and_one_zeta_per_path(monkeypatch):
     assert len(images) == sum(sizes)
 
 
+def test_d_bijectivity_computes_one_zeta_per_source_path(monkeypatch):
+    # zeta* is read off the images of the sign +1 source paths, not computed again
+    true_zeta = zmod.zeta_path
+    images = []
+
+    def zeta_counted(p, lt):
+        images.append(p)
+        return true_zeta(p, lt)
+
+    monkeypatch.setattr(zmod, "zeta_path", zeta_counted)
+    assert run_suite("D", 3, ["bijectivity"]).passed
+    assert sorted(images, key=str) == sorted((p for n in (2, 3) for p in type_spec("D").sources(n)), key=str)
+
+
 def test_checks_without_a_target_test_skip_the_targets(monkeypatch):
     true_enumerate, true_render = paths.enumerate_paths, labelled.render_path
     kinds, keys = [], []

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,8 @@ from zetakit.paths import (
     east_counts,
     enumerate_paths,
     lattice,
+    lift_signed,
+    make_path,
     parse_path,
     path_from_json,
     path_to_json,
@@ -21,9 +24,12 @@ from zetakit.paths import (
     signed_ballot,
     signed_lattice,
     strip_signs,
+    unsigned,
     valleys,
 )
 from zetakit.torus import torus_from_json
+
+from oracles import enumerate_paths_by_recursion
 
 
 def test_parse_golden_square():
@@ -61,6 +67,21 @@ def test_parse_shape_errors():
         parse_path("NE-NN", signed_lattice(3))
     with pytest.raises(ShapeViolation):
         parse_path("NNE", signed_ballot(2))
+
+
+@pytest.mark.parametrize("text,kind,message", [
+    ("NE-NNENENE", signed_lattice(5), "no signed step allowed at position 2 for signed_lattice(5)"),
+    ("NE+EENN", lattice(3, 3), "no signed step allowed at position 2 for lattice(3,3)"),
+    ("NNE+NN", signed_ballot(3), "no signed step allowed at position 3 for signed_ballot(3)"),
+    ("NNE+NE", signed_ballot(3), "the East step at position 5 must carry a sign"),
+    ("EEENNNNNE", signed_lattice(5), "the East step at position 1 must carry a sign"),
+    ("NNE", signed_ballot(2), "the East step at position 3 must carry a sign"),
+    ("E-NE+NN", signed_lattice(3), "at most one signed step is allowed"),
+])
+def test_misplaced_sign_messages_count_from_one(text, kind, message):
+    with pytest.raises(ShapeViolation) as exc:
+        parse_path(text, kind)
+    assert str(exc.value) == message
 
 
 def test_rises_golden():
@@ -114,6 +135,62 @@ def test_enumeration_complete_and_sorted(kind):
     seen = [render_path(p) for p in enumerate_paths(kind)]
     assert len(seen) == len(set(seen)) == count_paths(kind)
     assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("kind", (
+    [lattice(a, b) for a in range(7) for b in range(7)]
+    + [ballot(length) for length in range(15)]
+    + [make(n) for n in range(1, 9) for make in (signed_lattice, signed_ballot)]
+), ids=str)
+def test_enumeration_matches_the_oracle_recursion(kind):
+    assert list(enumerate_paths(kind)) == enumerate_paths_by_recursion(kind)
+
+
+@pytest.mark.parametrize("make", [signed_lattice, signed_ballot])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_unsigned_path_lifts_once_or_twice(make, n):
+    kind = make(n)
+    lifts = Counter((strip_signs(q), sign_of(q)) for q in enumerate_paths(kind))
+    assert set(lifts.values()) == {1}
+    for p in enumerate_paths(unsigned(kind)):
+        plus = lift_signed(p)
+        assert (p, 1) in lifts and strip_signs(plus) == p and sign_of(plus) == 1
+        # a -1 lift exactly when the path has a signed slot
+        assert ((p, -1) in lifts) == (plus.sign_pos is not None)
+
+
+@pytest.mark.parametrize("make", [signed_lattice, signed_ballot])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_make_path_places_the_sign_at_the_slot(make, n):
+    kind = make(n)
+    for q in enumerate_paths(kind):
+        assert make_path(q.steps, kind, q.sign) == q
+        minus = make_path(q.steps, kind, -1)
+        if q.sign_pos is None:
+            # no slot: the sign is ignored
+            assert minus == q and sign_of(minus) == 1
+        else:
+            assert minus.sign_pos == q.sign_pos and render_path(minus).count("E-") == 1
+            assert parse_path(render_path(minus), kind) == minus
+
+
+def test_make_path_golden_slots():
+    assert render_path(make_path("EEENNNNNE", signed_lattice(5), -1)) == "E-EENNNNNE"
+    assert render_path(make_path("NENNENENE", signed_lattice(5), -1)) == "NENNENENE"
+    assert render_path(make_path("NENNENENE", signed_ballot(5), -1)) == "NENNENENE-"
+    assert render_path(make_path("NNENN", signed_ballot(3), -1)) == "NNENN"
+    assert render_path(make_path("NNEE", lattice(2, 2), -1)) == "NNEE"
+    with pytest.raises(ShapeViolation):
+        make_path("EEENNNNNE", signed_lattice(5), 0)
+
+
+@pytest.mark.parametrize("kind", [ballot(-1), lattice(-1, 2), lattice(2, -1), signed_lattice(0), signed_ballot(0)],
+                         ids=str)
+def test_negative_kinds_are_shape_violations(kind):
+    with pytest.raises(ShapeViolation):
+        count_paths(kind)
+    with pytest.raises(ShapeViolation):
+        enumerate_paths(kind)
 
 
 def test_enumeration_cap(monkeypatch):

@@ -14,6 +14,7 @@ from oracles import (
     area_by_boxes,
     area_by_ideal,
     area_prime_by_boxes,
+    dinv_c_by_cases,
     sp,
 )
 
@@ -85,6 +86,12 @@ def test_dinv_staircase(n):
 def test_dinv_equals_area_of_image(n):
     for p in enumerate_paths(lattice(n, n)):
         assert dinv_c(p) == area(zeta_path(p, "C"), "C")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dinv_counts_the_four_comparisons(n):
+    for p in enumerate_paths(lattice(n, n)):
+        assert dinv_c(p) == dinv_c_by_cases(p)
 
 
 @pytest.mark.parametrize("n", range(1, 4))
