@@ -9,10 +9,11 @@ of the path, a plain window tuple, in the order of torus.enumerate_vert.
 The target phase enumerates the target paths once, if a check reads
 them, and a finish step settles each check's counts.  Each check keeps
 its own first counterexample.  A run of unlabelled checks never computes
-what only the labelled ones read: lambda, the labellings, the antichain
-forms, the reading-word slots and the Weyl group.  The group side of uniform
-and anderson is group arithmetic on the labels, on raw windows, and is
-never read off the reading word or the image it is compared with.
+what only the labelled ones read: lambda, the labellings, the image's
+antichain and its forms, the reading-word slots and the Weyl group.  The
+group side of uniform and anderson is group arithmetic on the labels, on
+raw windows, and is never read off the reading word or the image it is
+compared with.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .affine import (
     translation,
 )
 from .errors import InvalidLabelling, ZetakitError
-from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned, valleys
-from .rootposet import antichain_forms, ballot_to_antichain
+from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned
+from .rootposet import _forms, antichain_forms, ballot_to_antichain
 from .signedperm import SignedPermutation, count_positive, passes, passing, weyl_group
 from .torus import VertPath, label_twist, lambda_of_path, vertical_forms, wall_images
 from .typespec import type_spec
@@ -76,29 +77,22 @@ def _rise_template(p: Path, lt: str) -> list:
     return out
 
 
-def _valley_template(image: Path, lt: str, n: int) -> list:
-    """Valley tokens of the reading word w on the image: a valley (i, j)
-    pairs w(n+1-i) with the slot its North step j reads; in D the n-th
-    North step reads eps*w(1), or, when no signed step follows it, gives
-    the absolute token of w(1) and w(n+1-i)."""
+def _valley_template(roots) -> list:
+    """Valley tokens of the reading word w on the image, one per root of its
+    antichain (sorted): e_j - e_i pairs w(j) with w(i), e_j + e_i pairs w(j)
+    with -w(i), 2e_i pairs w(i) with -w(i) and e_i pairs w(i) with 0.  Two
+    roots e_a - e_1 and e_a + e_1, comparable in B and C and so together
+    only in D, give the absolute token of w(1) and w(a) instead."""
     out = []
-    eps = sign_of(image)
-    for i, j in valleys(image):
-        first = n + 1 - i
-        if lt == "C":
-            second = n + 1 - j if j <= n else n - j
-        elif lt == "B" or j < n:
-            second = n + 1 - j
-        elif j == n and image.sign_pos is None:
-            out.append((True, 1, first))
-            continue
-        elif j == n:
-            second = eps
-        elif j == n + 1:
-            second = -eps
+    for r in roots:
+        if r.kind == "diff":
+            out.append((False, r.j, r.i))
+        elif r.kind == "sum" and (False, r.j, 1) in out:
+            out[out.index((False, r.j, 1))] = (True, 1, r.j)
+        elif r.kind == "sum":
+            out.append((False, r.j, -r.i))
         else:
-            second = n - j
-        out.append((False, first, second))
+            out.append((False, r.i, -r.i if r.kind == "long" else 0))
     return out
 
 
@@ -137,8 +131,9 @@ class _PathData:
     image = _lazy(lambda d: zeta.zeta_path(d.path, d.lt))
     lam = _lazy(lambda d: lambda_of_path(d.path, d.lt))
     labellings = _lazy(lambda d: passing(d.r.windows, *vertical_forms(d.path, d.lt)))
+    antichain = _lazy(lambda d: ballot_to_antichain(d.image, d.lt))
     # the forms and parity a word must pass to label the image diagonally
-    fit = _lazy(lambda d: antichain_forms(d.image, d.lt))
+    fit = _lazy(lambda d: _forms(d.antichain, d.lt))
     # the slots of the reading word and of the label twist
     read = _lazy(lambda d: zeta.reading_word(VertPath(d.path, d.r.identity), d.lt).window)
     twist = _lazy(lambda d: label_twist(VertPath(d.path, d.r.identity), d.lt).window)
@@ -351,7 +346,7 @@ class _LabelledBijectivity(_Check):
 class _RiseValley(_Check):
     def labels(self, d: _PathData):
         rise = _rise_template(d.path, d.lt)
-        valley = _valley_template(d.image, d.lt, self.r.n)
+        valley = _valley_template(d.antichain)
 
         def test(item):
             _, ext, _, wext, _ = item
@@ -369,7 +364,7 @@ class _Uniform(_Check):
         # group side: u*(tau*sigma) for the twisted labels u, against the
         # roots (tau*sigma)^-1 sends the walls through lam to
         ts = dominant_frame_parts(d.lt, self.r.n)[1].compose(d.sigma)
-        same_roots = wall_images(ts, d.lam, d.lt) == ballot_to_antichain(d.image, d.lt)
+        same_roots = wall_images(ts, d.lam, d.lt) == d.antichain
         ts_win, twist = ts.window, d.twist
 
         def test(item):

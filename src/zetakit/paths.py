@@ -103,21 +103,18 @@ def render_path(p: Path) -> str:
 def _tokenize(text: str) -> list[str]:
     toks = []
     i = 0
-    text = "".join(text.split())
-    while i < len(text):
-        c = text[i]
-        if c == N:
-            toks.append(N)
+    # the characters other than whitespace, with their 1-based positions in text
+    chars = [(k, c) for k, c in enumerate(text, start=1) if not c.isspace()]
+    while i < len(chars):
+        k, c = chars[i]
+        if c == E and i + 1 < len(chars) and chars[i + 1][1] in "+-":
+            toks.append(E + chars[i + 1][1])
+            i += 2
+        elif c in (N, E):
+            toks.append(c)
             i += 1
-        elif c == E:
-            if i + 1 < len(text) and text[i + 1] in "+-":
-                toks.append(E + text[i + 1])
-                i += 2
-            else:
-                toks.append(E)
-                i += 1
         else:
-            raise MalformedToken("unexpected character %r at position %d" % (c, i))
+            raise MalformedToken("unexpected character %r at position %d" % (c, k))
     return toks
 
 

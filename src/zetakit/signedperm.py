@@ -132,6 +132,8 @@ def weyl_group(lattice_type: str, n: int) -> tuple[SignedPermutation, ...]:
 
     Types B and C have the same group and type D is its even subgroup, so
     the three share one set of elements."""
+    if n < 0:
+        raise RankMismatch("rank %d is negative" % n)
     if lattice_type == "A":
         return tuple(
             SignedPermutation(p) for p in itertools.permutations(range(1, n + 1))

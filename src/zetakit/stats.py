@@ -61,11 +61,17 @@ def dinv_c_prime(vp: VertPath) -> int:
 
 def dinv_c_prime_forms(p: Path) -> list:
     """The forms (i, a, j, b) whose count of a*u[i] + b*u[j] > 0 over labels
-    u is dinv_c_prime: a zero row with a negative label, and for each pair
-    of rows i < j the label comparisons their area values call for."""
+    u is dinv_c_prime: a zero row with a negative label, and the pair forms
+    of the rows."""
     rho = tuple(reversed(area_vector(p, "C")))  # the area vector, bottom row first
+    return [(i, -1, 0, 0) for i in range(len(rho)) if rho[i] == 0] + _pair_forms(rho)
+
+
+def _pair_forms(rho) -> list:
+    """For each pair of rows i < j of an area vector read bottom row first,
+    the label comparisons their area values call for."""
     n = len(rho)
-    forms = [(i, -1, 0, 0) for i in range(n) if rho[i] == 0]
+    forms = []
     for i in range(n):
         for j in range(i + 1, n):
             if rho[i] == rho[j]:
@@ -80,21 +86,10 @@ def dinv_c_prime_forms(p: Path) -> list:
 
 
 def dinv_b_experimental(p: Path) -> int:
-    """Candidate diagonal inversion count over the type B area vector.
+    """Candidate diagonal inversion count over the type B area vector: the
+    pair forms of its rows and the entries 0 and 1.
 
     Exploratory only; not tied to any verified identity.
     """
     mu = area_vector(p, "B")
-    n = len(mu)
-    total = sum(1 for v in mu if v in (0, 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mu[i] == mu[j]:
-                total += 1
-            if mu[i] == mu[j] - 1:
-                total += 1
-            if -mu[i] == mu[j]:
-                total += 1
-            if -mu[i] == mu[j] - 1:
-                total += 1
-    return total
+    return len(_pair_forms(tuple(reversed(mu)))) + sum(1 for v in mu if v in (0, 1))

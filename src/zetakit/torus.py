@@ -121,7 +121,8 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
     if lattice_type != "C":
         pi = [abs(v) for v in lam[: n - 1]]
         head = sum(pi[: n - 2]) % 2
-        last2 = lam[-2] + lam[-1] if head == 0 else spec.modulus(n) + lam[-2] - lam[-1]
+        # lambda_of_path used the unsigned count pi[-1]; lam[-2] is the signed lam[0] at D rank 2
+        last2 = pi[-1] + lam[-1] if head == 0 else spec.modulus(n) + pi[-1] - lam[-1]
         if last2 % 2 != 0:
             raise NotRepresentative("parity mismatch in %r" % (lam,))
         pi.append(last2 // 2)

@@ -29,17 +29,25 @@ N, E = paths.N, paths.E
 
 
 def area_vector(p: Path, lattice_type: str) -> tuple[int, ...]:
-    """Signed distances from the alternating staircase, in the type's
-    normalization."""
-    n = type_spec(lattice_type).source_rank(p)
+    """Signed distances from the alternating staircase: in types B, C and D,
+    lambda_of_path read through the type's frame (_frame)."""
     if lattice_type == "A":
+        n = type_spec("A").source_rank(p)
         pi = east_counts(p)
         return tuple(i - pi[i - 1] - 1 for i in range(1, n + 1))
-    lam = lambda_of_path(p, lattice_type) if lattice_type != "C" else east_counts(p)
-    if lattice_type == "C":
-        return tuple((n + 1 - j) - lam[n - j] for j in range(1, n + 1))
+    lam = lambda_of_path(p, lattice_type)
+    return tuple([s * (lam[i] - c) for i, s, c in _frame(lattice_type, len(lam))])
+
+
+@lru_cache(maxsize=64)
+def _frame(lattice_type: str, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The frame of dominant_frame_parts(type, n) as plain tuples: for each
+    slot k of the area vector, the slot i of lambda and the sign s with
+    mu[k] = s * (lam[i] - shift[i])."""
     shift, twist = dominant_frame_parts(lattice_type, n)
-    return twist.act(tuple(a - b for a, b in zip(lam, shift)))
+    # twist.act puts lam[i] - shift[i] at slot |twist(i)| with its sign, so
+    # slot k reads the slot and the sign of twist^-1(k+1)
+    return tuple((abs(u) - 1, 1 if u > 0 else -1, shift[abs(u) - 1]) for u in twist.inverse().window)
 
 
 def path_of_area_vector(mu, lattice_type: str) -> Path:
@@ -56,21 +64,17 @@ def path_of_area_vector(mu, lattice_type: str) -> Path:
             prev = v
         steps.extend([E] * (n - prev))
         return make_path(steps, lattice(n, n))
-    if lattice_type == "C":
-        lam = tuple((n + 1 - j) - mu[j - 1] for j in range(n, 0, -1))
-        return path_of_lambda(lam, "C")
-    shift, twist = dominant_frame_parts(lattice_type, n)
-    lam = tuple(a + b for a, b in zip(twist.inverse().act(mu), shift))
+    lam = [0] * n
+    for x, (i, s, c) in zip(mu, _frame(lattice_type, n)):
+        lam[i] = s * x + c
     return path_of_lambda(lam, lattice_type)
 
 
 def is_valid_area_vector(mu, lattice_type: str) -> bool:
     mu = tuple(mu)
     type_spec(lattice_type).check_rank(len(mu))
-    if lattice_type in ("A", "C"):
-        if lattice_type == "A":
-            return mu[0] == 0 and all(b <= a + 1 for a, b in zip(mu, mu[1:])) and all(v >= 0 for v in mu)
-        return mu[0] >= 0 and mu[-1] <= 1 and all(a <= b + 1 for a, b in zip(mu, mu[1:]))
+    if lattice_type == "A":
+        return mu[0] == 0 and all(b <= a + 1 for a, b in zip(mu, mu[1:])) and all(v >= 0 for v in mu)
     try:
         path_of_area_vector(mu, lattice_type)
         return True
@@ -78,72 +82,56 @@ def is_valid_area_vector(mu, lattice_type: str) -> bool:
         return False
 
 
-def _segments(mu, j_top: int, drop_last: bool = False) -> str:
-    parts = []
-    for j in range(j_top, -1, -1):
-        parts.append(segment("right_to_left", -1, j, mu))
-        parts.append(segment("left_to_right", 1, j, mu))
-    word = "".join(parts)
-    return word[:-1] if drop_last else word
-
-
 def zeta_path(p: Path, lattice_type: str) -> Path:
-    """The zeta image of an unlabelled path."""
+    """The zeta image of an unlabelled path.  In types B, C and D, level j
+    from the top down to 0 writes its entries -j right to left, then its
+    entries j left to right; B puts an N before the level-0 left-to-right
+    run, B and D drop the last step, and D's sign is the parity of the
+    positive entries."""
     spec = type_spec(lattice_type)
     n = spec.source_rank(p)
     kind = spec.target.kind(n)
     mu = area_vector(p, lattice_type)
-    top = max((abs(v) for v in mu), default=0)
     if lattice_type == "A":
         word = "".join(segment("left_to_right", -1, j, mu) for j in range(0, -n - 1, -1))
         return make_path(tuple(word), kind)
-    if lattice_type == "C":
-        return make_path(tuple(_segments(mu, top)), kind)
-    if lattice_type == "B":
-        parts = []
-        for j in range(top, 0, -1):
-            parts.append(segment("right_to_left", -1, j, mu))
-            parts.append(segment("left_to_right", 1, j, mu))
-        parts.append(segment("right_to_left", -1, 0, mu))
-        parts.append((N + segment("left_to_right", 1, 0, mu))[:-1])
-        return make_path(tuple("".join(parts)), kind)
-    sign = -1 if sum(1 for v in mu if v > 0) % 2 else 1
-    return make_path(tuple(_segments(mu, top, drop_last=True)), kind, sign)
+    parts = []
+    for j in range(max(abs(v) for v in mu), -1, -1):
+        parts.append(segment("right_to_left", -1, j, mu))
+        if j == 0 and lattice_type == "B":
+            parts.append(N)
+        parts.append(segment("left_to_right", 1, j, mu))
+    word = "".join(parts)
+    if lattice_type != "C":
+        word = word[:-1]
+    sign = -1 if lattice_type == "D" and sum(1 for v in mu if v > 0) % 2 else 1
+    return make_path(tuple(word), kind, sign)
 
 
 def reading_word(vp: VertPath, lattice_type: str) -> SignedPermutation:
     """The diagonal reading word of a vertically labelled path."""
-    v = vp.labels
-    n = v.n
+    win = vp.labels.window
+    n = len(win)
     mu = area_vector(vp.path, lattice_type)
     if lattice_type == "A":
         out = []
         for level in range(0, n):
-            out.extend(v(j) for j in range(1, n + 1) if mu[j - 1] == level)
+            out.extend(win[j] for j in range(n) if mu[j] == level)
         return SignedPermutation(tuple(out))
     if lattice_type == "C":
-        out = []
-        top = max(abs(x) for x in mu)
-        for level in range(0, top + 1):
-            for j in range(n, 0, -1):
-                if mu[n - j] == -level:
-                    out.append(-v(j))
-            for j in range(1, n + 1):
-                if mu[n - j] == level + 1:
-                    out.append(v(j))
-        return SignedPermutation(tuple(out))
-    # types B and D read the area vector in row order
+        # C reads its labels through its frame twist: v'(j) = -v(n+1-j)
+        win = tuple([-x for x in reversed(win)])
     out = []
     src_row = []
     top = max(abs(x) for x in mu)
     for level in range(0, top + 1):
         for j in range(1, n + 1):
             if mu[j - 1] == -level:
-                out.append(v(j))
+                out.append(win[j - 1])
                 src_row.append(j)
         for j in range(n, 0, -1):
             if mu[j - 1] == level + 1:
-                out.append(-v(j))
+                out.append(-win[j - 1])
                 src_row.append(j)
     if len(out) != n:
         raise InternalError("reading word lost labels: %r" % (out,))
@@ -158,7 +146,7 @@ def reading_word(vp: VertPath, lattice_type: str) -> SignedPermutation:
             out[bottom_pos] = -out[bottom_pos]
         if sum(1 for x in mu if x > 0) % 2:
             out[0] = -out[0]
-    else:
+    elif lattice_type == "B":
         if (mu[n - 2] + mu[n - 1]) % 2 == 0:
             out[top_pos] = -out[top_pos]
     return SignedPermutation(tuple(out))

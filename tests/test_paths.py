@@ -56,6 +56,13 @@ def test_parse_bad_token():
         parse_path("NXE", lattice(1, 1))
 
 
+@pytest.mark.parametrize("text,position", [("NXEE", 2), ("N N XE", 5)])
+def test_bad_token_position_counts_from_one_in_the_text_as_given(text, position):
+    with pytest.raises(MalformedToken) as exc:
+        parse_path(text, lattice(2, 2))
+    assert str(exc.value) == "unexpected character 'X' at position %d" % position
+
+
 def test_parse_shape_errors():
     with pytest.raises(ShapeViolation):
         parse_path("NNEE", lattice(3, 1))

@@ -102,6 +102,12 @@ def test_weyl_group_sizes():
     assert len(list(all_signed_permutations(2))) == 8
 
 
+@pytest.mark.parametrize("lt", ["A", "B", "C", "D"])
+def test_weyl_group_negative_rank_is_typed(lt):
+    with pytest.raises(RankMismatch):
+        weyl_group(lt, -1)
+
+
 def test_weyl_groups_share_elements():
     assert weyl_group("C", 3) is weyl_group("B", 3)
     ids = {id(w) for w in weyl_group("B", 3)}

@@ -77,6 +77,8 @@ def test_path_of_lambda_golden():
     ("C", lattice(5, 5)), ("C", lattice(6, 6)),
     ("B", lattice(5, 5)), ("B", lattice(6, 6)),
     ("D", signed_lattice(5)), ("D", signed_lattice(6)),
+    # at D rank 2 the first coordinate, which carries the sign, is also lam[-2]
+    ("D", signed_lattice(2)),
 ])
 def test_lambda_roundtrip(lt, kind):
     for p in enumerate_paths(kind):

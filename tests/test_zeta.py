@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from zetakit.errors import RankMismatch, ShapeMismatch
@@ -12,7 +15,9 @@ from zetakit.paths import (
     signed_lattice,
     strip_signs,
 )
+from zetakit.signedperm import SignedPermutation
 from zetakit.torus import VertPath
+from zetakit.typespec import type_spec
 from zetakit.zeta import (
     area_vector,
     bounce_path,
@@ -60,6 +65,8 @@ def test_area_vector_golden():
 @pytest.mark.parametrize("lt,kind", [
     ("A", lattice(5, 5)), ("C", lattice(5, 5)), ("B", lattice(5, 5)),
     ("D", signed_lattice(5)),
+    # each type's smallest rank
+    ("A", lattice(1, 1)), ("B", lattice(2, 2)), ("C", lattice(1, 1)), ("D", signed_lattice(2)),
 ])
 def test_area_vector_roundtrip(lt, kind):
     for p in enumerate_paths(kind):
@@ -68,6 +75,39 @@ def test_area_vector_roundtrip(lt, kind):
         mu = area_vector(p, lt)
         assert is_valid_area_vector(mu, lt)
         assert path_of_area_vector(mu, lt) == p
+
+
+@pytest.mark.parametrize("lt,n", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 1), ("C", 2), ("C", 3), ("C", 4), ("D", 2), ("D", 3), ("D", 4),
+])
+def test_valid_area_vectors_are_the_area_vectors(lt, n):
+    spec = type_spec(lt)
+    vectors = {area_vector(p, lt) for p in spec.sources(n)}
+    for mu in itertools.product(range(-n - 2, n + 3), repeat=n):
+        assert is_valid_area_vector(mu, lt) == (mu in vectors), mu
+
+
+# sha256 of one line per source path of B, C and D up to rank 7: the path,
+# its zeta image, its area vector and its reading word
+ZETA_SHA256 = {
+    "B": ("6533935399b1b3febc8ece0d2163c33818f8e2765077c6905e216613d23c4386", 4704),
+    "C": ("3ec984e765a6befebe9f94b5b98531818c25cd2fe9810701f479e284ee636f04", 4706),
+    "D": ("7e7a01678cfb7e93bc493ec74203f16a6935085896a9daad2f91eb87a33df624", 3430),
+}
+
+
+@pytest.mark.parametrize("lt", sorted(ZETA_SHA256))
+def test_zeta_golden_digest_through_rank_7(lt):
+    spec = type_spec(lt)
+    lines = []
+    for n in range(spec.min_rank, 8):
+        for p in spec.sources(n):
+            word = reading_word(VertPath(p, SignedPermutation.identity(n)), lt).window
+            lines.append("%s %s %s %s" % (
+                render_path(p), render_path(zeta_path(p, lt)), list(area_vector(p, lt)), list(word)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (digest, len(lines)) == ZETA_SHA256[lt]
 
 
 def test_zeta_path_golden():
