@@ -11,6 +11,7 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import LatticeViolation, NotBijective, RankMismatch, json_choice, json_int, json_ints, json_window
 from .signedperm import SignedPermutation
@@ -210,9 +211,10 @@ def in_group(w: AffinePermutation, lattice_type: str) -> bool:
     return first % 2 == 0 and (lattice_type == "B" or second % 2 == 0)
 
 
+@lru_cache(maxsize=64)
 def dominant_frame_parts(lattice_type: str, n: int):
     """Translation and finite parts (shift, twist) of the frame element
-    used to normalize area vectors."""
+    used to normalize area vectors; both are immutable, so they are cached."""
     if lattice_type == "C":
         shift = tuple(range(1, n + 1))
         twist = SignedPermutation(tuple(-(n + 1 - i) for i in range(1, n + 1)))

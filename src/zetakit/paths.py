@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import CapExceeded, MalformedToken, ShapeMismatch, ShapeViolation, json_int, json_str
@@ -118,9 +119,11 @@ def _tokenize(text: str) -> list[str]:
     return toks
 
 
+@lru_cache(maxsize=256)
 def unsigned(kind: PathKind) -> PathKind:
     """The kind with its sign forgotten: signed_lattice(n) is lattice(n-1, n),
-    signed_ballot(n) is ballot(2n-1), and any other kind is itself."""
+    signed_ballot(n) is ballot(2n-1), and any other kind is itself.  Cached:
+    make_path asks once per path."""
     if kind.shape == "signed_lattice":
         (n,) = kind.params
         return lattice(n - 1, n)
@@ -198,9 +201,9 @@ def parse_path(text: str, kind: PathKind) -> Path:
         raise ShapeViolation("at most one signed step is allowed")
     p = make_path([t[0] for t in toks], kind, -1 if "E-" in toks else 1)
     if p.sign_pos is None and signed:
-        raise ShapeViolation("no signed step allowed at position %d for %s" % (signed[0] + 1, kind))
+        raise ShapeViolation("no signed step allowed at step %d for %s" % (signed[0] + 1, kind))
     if p.sign_pos is not None and signed != [p.sign_pos]:
-        raise ShapeViolation("the East step at position %d must carry a sign" % (p.sign_pos + 1))
+        raise ShapeViolation("step %d must be a signed East step" % (p.sign_pos + 1))
     return p
 
 

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from . import paths
 from .affine import dominant_frame_parts
-from .errors import InternalError, ShapeMismatch, ZetakitError
+from .errors import InternalError, NotRepresentative, ShapeMismatch, ZetakitError
 from .paths import (
     Path,
     ballot,
@@ -55,6 +55,8 @@ def path_of_area_vector(mu, lattice_type: str) -> Path:
     mu = tuple(mu)
     n = type_spec(lattice_type).check_rank(len(mu))
     if lattice_type == "A":
+        if not is_valid_area_vector(mu, "A"):
+            raise NotRepresentative("%r is not an area vector in type A" % (mu,))
         pi = tuple(i - mu[i - 1] - 1 for i in range(1, n + 1))
         steps = []
         prev = 0
@@ -109,46 +111,39 @@ def zeta_path(p: Path, lattice_type: str) -> Path:
 
 
 def reading_word(vp: VertPath, lattice_type: str) -> SignedPermutation:
-    """The diagonal reading word of a vertically labelled path."""
+    """The diagonal reading word of a vertically labelled path.  In types
+    B, C and D the labels, after their own twist, are read through the
+    type's frame as area_vector reads lambda, then level by level: the
+    entries -level left to right, then the entries level + 1 right to left
+    and negated; in D the first letter carries the sign of the image."""
     win = vp.labels.window
     n = len(win)
-    mu = area_vector(vp.path, lattice_type)
     if lattice_type == "A":
+        mu = area_vector(vp.path, lattice_type)
         out = []
         for level in range(0, n):
             out.extend(win[j] for j in range(n) if mu[j] == level)
         return SignedPermutation(tuple(out))
-    if lattice_type == "C":
-        # C reads its labels through its frame twist: v'(j) = -v(n+1-j)
-        win = tuple([-x for x in reversed(win)])
+    lam = lambda_of_path(vp.path, lattice_type)
+    frame = _frame(lattice_type, n)
+    mu = [s * (lam[i] - c) for i, s, c in frame]
+    # the labels' own twist, the signs torus.label_twist puts on them, is
+    # stated here and not read from torus: the uniform oracle reads it from
+    # torus, so a fault in either copy shows as a disagreement
+    u = list(win)
+    if lattice_type in ("B", "D") and (lam[-2] + lam[-1]) % 2:
+        u[-1] = -u[-1]
+    if sign_of(vp.path) < 0:
+        u[0] = -u[0]
+    w = [s * u[i] for i, s, _ in frame]
     out = []
-    src_row = []
-    top = max(abs(x) for x in mu)
-    for level in range(0, top + 1):
-        for j in range(1, n + 1):
-            if mu[j - 1] == -level:
-                out.append(win[j - 1])
-                src_row.append(j)
-        for j in range(n, 0, -1):
-            if mu[j - 1] == level + 1:
-                out.append(-win[j - 1])
-                src_row.append(j)
+    for level in range(0, max(abs(x) for x in mu) + 1):
+        out += [w[j] for j in range(n) if mu[j] == -level]
+        out += [-w[j] for j in range(n - 1, -1, -1) if mu[j] == level + 1]
     if len(out) != n:
         raise InternalError("reading word lost labels: %r" % (out,))
-    top_pos = src_row.index(n)
-    bottom_pos = src_row.index(1)
-    if lattice_type == "D":
-        if (1 + mu[n - 2] + mu[n - 1]) % 2:
-            out[top_pos] = -out[top_pos]
-        shift, _ = dominant_frame_parts("D", n)
-        eps = sign_of(vp.path)
-        if eps * (-1) ** (1 + shift[n - 2] + shift[n - 1]) < 0:
-            out[bottom_pos] = -out[bottom_pos]
-        if sum(1 for x in mu if x > 0) % 2:
-            out[0] = -out[0]
-    elif lattice_type == "B":
-        if (mu[n - 2] + mu[n - 1]) % 2 == 0:
-            out[top_pos] = -out[top_pos]
+    if lattice_type == "D" and sum(1 for x in mu if x > 0) % 2:
+        out[0] = -out[0]
     return SignedPermutation(tuple(out))
 
 
@@ -205,88 +200,49 @@ def bounce_path(p: Path):
     return "".join(moves), tuple(alphas)
 
 
-def _split_block(block: tuple[str, ...], norths: int):
-    """Cut a level block after its `norths`-th North step."""
-    if norths == 0:
-        return (), block
-    seen = 0
-    for k, s in enumerate(block):
-        if s == N:
-            seen += 1
-            if seen == norths:
-                return block[: k + 1], block[k + 1 :]
-    raise InternalError("block %r has fewer than %d North steps" % (block, norths))
-
-
 def inverse_zeta_c(p: Path) -> Path:
     """Preimage of a ballot path under the type-C zeta map.
 
-    Decodes the level counts from the bounce path, then rebuilds the area
-    vector level by level: within one level the two block halves fix the
-    interleaving with the previous level, and a positive entry may precede
-    a negative one of the same level only across a lower separator, which
-    pins the merge order.
+    Decodes the level counts from the bounce path, cuts the path from its
+    end into one block per level, and rebuilds the area vector level by
+    level by one attach rule.  With m entries -k in mu, the first m North
+    steps of level k's block, read backwards, are those entries, and the
+    East run after each is that many entries -(k+1) right after it; each
+    later East run before a North step is that many entries k+1 right
+    before the next entry k.
     """
     _, alphas = bounce_path(p)
     n = type_spec("C").target_rank(p)
+    word = "".join(p.steps)
     blocks = []
-    idx = len(p.steps)
+    idx = len(word)
     for k in range(0, n + 1):
         size = 2 * alphas[0] + alphas[1] if k == 0 else alphas[k] + (alphas[k + 1] if k < n else 0)
-        blocks.append(p.steps[idx - size : idx])
+        blocks.append(word[idx - size : idx])
         idx -= size
     if idx != 0:
         raise InternalError("block sizes do not cover the path")
 
-    left, right = _split_block(blocks[0], alphas[0])
-    seq: list[int] = []
-    for s in reversed(left):
-        seq.append(0 if s == N else -1)
-    pending = 0
-    zero_seen = 0
-    for s in right:
-        if s == E:
-            pending += 1
-        else:
-            zero_seen += 1
-            target = [k for k, v in enumerate(seq) if v == 0][zero_seen - 1]
-            seq[target:target] = [1] * pending
-            pending = 0
-    seq.extend([1] * pending)
-
-    for k in range(1, n + 1):
-        minus_n = sum(1 for v in seq if v == -k)
-        left, right = _split_block(blocks[k], minus_n)
-        groups = []
-        for s in reversed(left):
-            if s == N:
-                groups.append([-k])
-            else:
-                if not groups:
-                    raise InternalError("negative block starts with an East step")
-                groups[-1].append(-(k + 1))
-        out: list[int] = []
-        g = iter(groups)
-        for v in seq:
-            out.extend(next(g) if v == -k else [v])
-        seq = out
-        groups = []
-        run = 0
-        for s in right:
-            if s == E:
-                run += 1
-            else:
-                groups.append([k + 1] * run + [k])
-                run = 0
-        if run:
+    mu = [0] * alphas[0]
+    for k, block in enumerate(blocks):
+        m = mu.count(-k)
+        # the East run before each North step of the block, and the final run
+        runs = [len(r) for r in block.split(N)]
+        if len(runs) <= m:
+            raise InternalError("block %r has fewer than %d North steps" % (block, m))
+        after, before, tail = reversed(runs[:m]), iter(runs[m:-1]), runs[-1]
+        if tail and k:
             raise InternalError("positive block ends with an East step")
-        out = []
-        g = iter(groups)
-        for v in seq:
-            out.extend(next(g) if v == k else [v])
-        seq = out
-
-    return path_of_area_vector(tuple(seq), "C")
+        out: list[int] = []
+        for v in mu:
+            if v == k:
+                out.extend([k + 1] * next(before))
+            out.append(v)
+            if v == -k:
+                out.extend([-(k + 1)] * next(after))
+        # only level 0 may end on an East run: that many entries 1 end mu
+        mu = out + [1] * tail
+    return path_of_area_vector(tuple(mu), "C")
 
 
 def sweep_labels(p: Path) -> list[int]:

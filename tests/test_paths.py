@@ -77,13 +77,15 @@ def test_parse_shape_errors():
 
 
 @pytest.mark.parametrize("text,kind,message", [
-    ("NE-NNENENE", signed_lattice(5), "no signed step allowed at position 2 for signed_lattice(5)"),
-    ("NE+EENN", lattice(3, 3), "no signed step allowed at position 2 for lattice(3,3)"),
-    ("NNE+NN", signed_ballot(3), "no signed step allowed at position 3 for signed_ballot(3)"),
-    ("NNE+NE", signed_ballot(3), "the East step at position 5 must carry a sign"),
-    ("EEENNNNNE", signed_lattice(5), "the East step at position 1 must carry a sign"),
-    ("NNE", signed_ballot(2), "the East step at position 3 must carry a sign"),
+    ("NE-NNENENE", signed_lattice(5), "no signed step allowed at step 2 for signed_lattice(5)"),
+    ("NE+EENN", lattice(3, 3), "no signed step allowed at step 2 for lattice(3,3)"),
+    ("NNE+NN", signed_ballot(3), "no signed step allowed at step 3 for signed_ballot(3)"),
+    ("NNE+NE", signed_ballot(3), "step 5 must be a signed East step"),
+    ("EEENNNNNE", signed_lattice(5), "step 1 must be a signed East step"),
+    ("NNE", signed_ballot(2), "step 3 must be a signed East step"),
     ("E-NE+NN", signed_lattice(3), "at most one signed step is allowed"),
+    # steps are counted, not characters: E+ is the third character here
+    ("N E+EENN", lattice(3, 3), "no signed step allowed at step 2 for lattice(3,3)"),
 ])
 def test_misplaced_sign_messages_count_from_one(text, kind, message):
     with pytest.raises(ShapeViolation) as exc:

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from zetakit.errors import RankMismatch, ShapeMismatch
+from zetakit.errors import NotRepresentative, RankMismatch, ShapeMismatch
 from zetakit.paths import (
     ballot,
     enumerate_paths,
@@ -86,6 +86,11 @@ def test_valid_area_vectors_are_the_area_vectors(lt, n):
     vectors = {area_vector(p, lt) for p in spec.sources(n)}
     for mu in itertools.product(range(-n - 2, n + 3), repeat=n):
         assert is_valid_area_vector(mu, lt) == (mu in vectors), mu
+        if mu in vectors:
+            assert area_vector(path_of_area_vector(mu, lt), lt) == mu
+        else:
+            with pytest.raises(NotRepresentative):
+                path_of_area_vector(mu, lt)
 
 
 # sha256 of one line per source path of B, C and D up to rank 7: the path,
@@ -215,7 +220,7 @@ def test_inverse_zeta_c_golden():
     assert render_path(inverse_zeta_c(parse_path(C_ZETA, ballot(12)))) == C_PATH
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_inverse_zeta_c_roundtrip(n):
     for p in enumerate_paths(lattice(n, n)):
         assert inverse_zeta_c(zeta_path(p, "C")) == p
