@@ -10,9 +10,15 @@ The target phase enumerates the target paths once, if a check reads
 them, and a finish step settles each check's counts.  Each check keeps
 its own first counterexample.  A run of unlabelled checks never computes
 what only the labelled ones read: lambda, the labellings, the image's
-antichain and its forms, the reading-word slots and the Weyl group.  The
-group side of uniform and anderson is group arithmetic on the labels, on
-raw windows, and is never read off the reading word or the image it is
+antichain and its forms, the reading-word slots and the Weyl group.
+
+On one path the reading word is the labels read at fixed signed slots,
+and a signed permutation gives distinct slots distinct values.  So
+uniform, anderson and rise_valley each hold for every labelling of the
+path or for none: each decides its identity once per path, on the slots,
+and its per-labelling test only reports that verdict (uniform after the
+word's fit).  The group side of uniform and anderson is the label twist
+and the frame acting on slots, and is never read off the image it is
 compared with.
 """
 
@@ -54,14 +60,19 @@ def _text(win) -> str:
     return "[%s]" % ",".join(map(str, win))
 
 
-def _pair_tokens(template, ext) -> list:
-    """The sorted tokens of a rise or valley template: ("abs", |x|, y) or
-    ("pair", min((x, y), (-y, -x))) for the slot values x = ext[k1], y = ext[k2]."""
-    out = []
-    for is_abs, k1, k2 in template:
-        x, y = ext[k1], ext[k2]
-        out.append(("abs", abs(x), y) if is_abs else ("pair", min((x, y), (-y, -x))))
-    out.sort()
+def _token(is_abs, k1, k2) -> tuple:
+    """The token of a rise or valley on label slots k1, k2: ("abs", |k1|,
+    k2), or the root ("pair", (k1, k2)) up to its sign, (-k2, -k1).  A
+    signed permutation of the labels maps distinct tokens to distinct
+    tokens."""
+    return ("abs", abs(k1), k2) if is_abs else ("pair", min((k1, k2), (-k2, -k1)))
+
+
+def _by_label(pairs, n: int, m: int) -> list:
+    """x times the sign of k, modulo m, at label index |k|, for each (k, x)."""
+    out = [0] * n
+    for k, x in pairs:
+        out[abs(k) - 1] = (x if k > 0 else -x) % m
     return out
 
 
@@ -144,11 +155,11 @@ class _PathData:
         self.path, self.lt, self.r = p, r.lt, r
 
     def item(self, v, fit):
-        """(v, its signed slots, reading word, the word's signed slots,
-        whether the word passes the forms fit, or None without them)."""
+        """(v, its reading word, whether the word passes the forms fit, or
+        None without them)."""
         ext = _signed(v)
         word = tuple([ext[k] for k in self.read])
-        return v, ext, word, _signed(word), fit and passes(word, *fit)
+        return v, word, fit and passes(word, *fit)
 
     def misfit(self, word) -> InvalidLabelling:
         """What to_parking_function and area_prime raise for a word that
@@ -292,7 +303,7 @@ class _RefinedStats(_Check):
         ideal = stats.area_prime_forms(d.image, "C")
 
         def test(item):
-            v, _, word, _, fits = item
+            v, word, fits = item
             if not fits:
                 return d.misfit(word)
             if count_positive(v, dinv) != count_positive(word, ideal):
@@ -320,7 +331,7 @@ class _LabelledBijectivity(_Check):
         self.fits[key] = d.fit
 
         def test(item):
-            _, _, word, _, fits = item
+            _, word, fits = item
             if not fits:
                 return "image of %s | %s is not diagonally labelled"
             if (key, word) in seen:
@@ -345,16 +356,13 @@ class _LabelledBijectivity(_Check):
 
 class _RiseValley(_Check):
     def labels(self, d: _PathData):
-        rise = _rise_template(d.path, d.lt)
-        valley = _valley_template(d.antichain)
-
-        def test(item):
-            _, ext, _, wext, _ = item
-            if _pair_tokens(rise, ext) != _pair_tokens(valley, wext):
-                return "label multisets differ at %s | %s"
-            return None
-
-        return test
+        # the rise tokens on label slots against the valley tokens on word
+        # slots, pulled back to label slots through the reading word
+        rise = sorted(_token(*t) for t in _rise_template(d.path, d.lt))
+        read = _signed(d.read)
+        valley = sorted(_token(a, read[k1], read[k2]) for a, k1, k2 in _valley_template(d.antichain))
+        verdict = None if rise == valley else "label multisets differ at %s | %s"
+        return lambda item: verdict
 
 
 class _Uniform(_Check):
@@ -362,19 +370,17 @@ class _Uniform(_Check):
 
     def labels(self, d: _PathData):
         # group side: u*(tau*sigma) for the twisted labels u, against the
-        # roots (tau*sigma)^-1 sends the walls through lam to
+        # roots (tau*sigma)^-1 sends the walls through lam to.  u reads the
+        # labels at the slots twist, so u*(tau*sigma) is the word for every
+        # labelling iff twist*(tau*sigma) reads the slots read
         ts = dominant_frame_parts(d.lt, self.r.n)[1].compose(d.sigma)
-        same_roots = wall_images(ts, d.lam, d.lt) == d.antichain
-        ts_win, twist = ts.window, d.twist
+        twist = _signed(d.twist)
+        same = wall_images(ts, d.lam, d.lt) == d.antichain and tuple([twist[t] for t in ts.window]) == d.read
+        verdict = None if same else "parking functions differ at %s | %s"
 
         def test(item):
-            _, ext, word, _, fits = item
-            if not fits:
-                return d.misfit(word)
-            u = _signed([ext[k] for k in twist])
-            if not same_roots or tuple([u[t] for t in ts_win]) != word:
-                return "parking functions differ at %s | %s"
-            return None
+            _, word, fits = item
+            return verdict if fits else d.misfit(word)
 
         return test
 
@@ -385,37 +391,21 @@ class _Anderson(_Check):
         # A.  With A(k) = q*K + s for |s| <= n, product(k) = word(s) + q*K,
         # whose translation part is -q at slot word(s) > 0, or q at slot
         # -word(s); the torus vector negates it modulo m.  The other side is
-        # the twisted labels acting on lam, modulo m.
-        r, lam, twist = self.r, d.lam, d.twist
+        # the twisted labels acting on lam, modulo m.  With word(s) = v(k)
+        # for k = read(s), both sides put, at label index |k|, a value times
+        # the sign of v(|k|) at position |v(|k|)|: they agree for every v
+        # iff the values agree modulo m.
+        r, read = self.r, _signed(d.read)
         n, m, K = r.n, r.spec.modulus(r.n), 2 * r.n + 1
         w_dom = translation(d.mu).compose(coerce_affine(d.sigma)).inverse()
-        orbit_ok = r.frame.compose(w_dom.inverse()).act((0,) * n) == lam
+        orbit_ok = r.frame.compose(w_dom.inverse()).act((0,) * n) == d.lam
         parts = []
         for a in w_dom.compose(r.frame_inv).window:
             s = _residue(a, K)
-            parts.append((s, (a - s) // K))
-
-        def test(item):
-            _, ext, _, wext, _ = item
-            vector = [0] * n
-            for s, q in parts:
-                b = wext[s]
-                if b > 0:
-                    vector[b - 1] = q % m
-                else:
-                    vector[-b - 1] = -q % m
-            coords = [0] * n
-            for k, x in zip(twist, lam):
-                u = ext[k]
-                if u > 0:
-                    coords[u - 1] = x % m
-                else:
-                    coords[-u - 1] = -x % m
-            if vector != coords or not orbit_ok:
-                return "window arithmetic fails at %s | %s"
-            return None
-
-        return test
+            parts.append((read[s], (a - s) // K))
+        same = orbit_ok and _by_label(parts, n, m) == _by_label(zip(d.twist, d.lam), n, m)
+        verdict = None if same else "window arithmetic fails at %s | %s"
+        return lambda item: verdict
 
 
 # every check, by name

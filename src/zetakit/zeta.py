@@ -225,6 +225,11 @@ def inverse_zeta_c(p: Path) -> Path:
 
     mu = [0] * alphas[0]
     for k, block in enumerate(blocks):
+        if not block:
+            # the bounce hits strictly decrease, so the blocks of levels up
+            # to max|mu| are not empty; this one and all later ones are
+            # above it and attach nothing
+            break
         m = mu.count(-k)
         # the East run before each North step of the block, and the final run
         runs = [len(r) for r in block.split(N)]

@@ -13,7 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from zetakit import paths, stats, zeta
+from zetakit.affine import _residue, coerce_affine, dominant_frame_parts, translation
 from zetakit.errors import NotAntichain, NotRepresentative, ZetakitError
+from zetakit.labelled import _rise_template, _signed, _valley_template
 from zetakit.paths import (
     E,
     N,
@@ -40,7 +42,7 @@ from zetakit.rootposet import (
     to_vector,
 )
 from zetakit.signedperm import SignedPermutation, weyl_group
-from zetakit.torus import TorusElement, VertPath, enumerate_vert, lambda_of_path
+from zetakit.torus import TorusElement, VertPath, enumerate_vert, lambda_of_path, wall_images
 from zetakit.typespec import TypeSpec, modulus, type_spec
 from zetakit.verify import anderson_check, uniform_oracle
 
@@ -789,6 +791,91 @@ LABELLED_ORACLES = {
     "stats_identity": check_stats_refined,
     "uniform": check_uniform,
     "anderson": check_anderson,
+}
+
+
+# ---------------------------------------------------------------------------
+# the per-labelling tests of rise_valley, uniform and anderson, label
+# arithmetic on raw windows for one labelling at a time; the pass decides
+# each identity once per path, on slots, and must give on every labelling
+# what these give.  Each takes a labelled._PathData and returns a test of
+# the pass's items (v, reading word, whether the word fits the image).
+
+
+def _pair_tokens(template, ext) -> list:
+    """The sorted tokens of a rise or valley template: ("abs", |x|, y) or
+    ("pair", min((x, y), (-y, -x))) for the slot values x = ext[k1], y = ext[k2]."""
+    out = []
+    for is_abs, k1, k2 in template:
+        x, y = ext[k1], ext[k2]
+        out.append(("abs", abs(x), y) if is_abs else ("pair", min((x, y), (-y, -x))))
+    return sorted(out)
+
+
+def rise_valley_by_labels(d):
+    rise = _rise_template(d.path, d.lt)
+    valley = _valley_template(d.antichain)
+
+    def test(item):
+        v, word, _ = item
+        if _pair_tokens(rise, _signed(v)) != _pair_tokens(valley, _signed(word)):
+            return "label multisets differ at %s | %s"
+        return None
+
+    return test
+
+
+def uniform_by_labels(d):
+    # u*(tau*sigma) for the twisted labels u, against the word
+    ts = dominant_frame_parts(d.lt, d.r.n)[1].compose(d.sigma)
+    same_roots = wall_images(ts, d.lam, d.lt) == d.antichain
+
+    def test(item):
+        v, word, fits = item
+        if not fits:
+            return d.misfit(word)
+        ext = _signed(v)
+        u = _signed([ext[k] for k in d.twist])
+        if not same_roots or tuple(u[t] for t in ts.window) != word:
+            return "parking functions differ at %s | %s"
+        return None
+
+    return test
+
+
+def anderson_by_labels(d):
+    # the torus vector of product = word * A for the path's affine A,
+    # against the twisted labels acting on lam, both modulo m
+    r = d.r
+    n, m, K = r.n, r.spec.modulus(r.n), 2 * r.n + 1
+    w_dom = translation(d.mu).compose(coerce_affine(d.sigma)).inverse()
+    orbit_ok = r.frame.compose(w_dom.inverse()).act((0,) * n) == d.lam
+    parts = []
+    for a in w_dom.compose(r.frame_inv).window:
+        s = _residue(a, K)
+        parts.append((s, (a - s) // K))
+
+    def test(item):
+        v, word, _ = item
+        ext, wext = _signed(v), _signed(word)
+        vector, coords = [0] * n, [0] * n
+        for s, q in parts:
+            b = wext[s]
+            vector[abs(b) - 1] = (q if b > 0 else -q) % m
+        for k, x in zip(d.twist, d.lam):
+            u = ext[k]
+            coords[abs(u) - 1] = (x if u > 0 else -x) % m
+        if vector != coords or not orbit_ok:
+            return "window arithmetic fails at %s | %s"
+        return None
+
+    return test
+
+
+PER_LABELLING_ORACLES = {
+    "rise_valley": rise_valley_by_labels,
+    "uniform": uniform_by_labels,
+    "anderson": anderson_by_labels,
 }
 
 

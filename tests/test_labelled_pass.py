@@ -14,10 +14,11 @@ import zetakit.zeta as zmod
 from zetakit.errors import InvalidLabelling, NotRepresentative, ZetakitError
 from zetakit.labelled import REFINED_MAX_RANK, run_pass
 from zetakit.paths import enumerate_paths, lattice, parse_path
+from zetakit.signedperm import SignedPermutation
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, modulus, type_spec
 from zetakit.verify import run_suite
 
-from oracles import LABELLED_ORACLES, UNLABELLED_ORACLES
+from oracles import LABELLED_ORACLES, PER_LABELLING_ORACLES, UNLABELLED_ORACLES
 
 RANKS = (
     [("A", n) for n in (1, 2, 3, 4)]
@@ -83,6 +84,22 @@ def test_each_check_alone_matches_all_together(lt, n):
         assert run_pass(lt, n, [name]) == {name: together[name]}
 
 
+@pytest.mark.parametrize("lt", "BCD")
+def test_per_path_verdicts_match_the_per_labelling_tests(lt):
+    """At rank 5, one above RANKS: on every labelling of every path,
+    rise_valley, uniform and anderson give what their label arithmetic on
+    the raw windows gives."""
+    r = labelled._Rank(lt, 5)
+    checks = {name: labelled._CHECKS[name](r) for name in PER_LABELLING_ORACLES}
+    for p in r.spec.sources(5):
+        d = labelled._PathData(p, r)
+        tests = [(c.labels(d), PER_LABELLING_ORACLES[name](d)) for name, c in checks.items()]
+        for v in d.labellings:
+            item = d.item(v, d.fit)
+            for test, oracle in tests:
+                assert _shown(test(item)) == _shown(oracle(item)), (p, v)
+
+
 def test_verify_dispatches_every_labelled_check_to_the_pass():
     assert set(labelled._CHECKS) == set(CHECKS)
     # the labelled checks are the ones with a per-labelling test, with the
@@ -130,7 +147,23 @@ def _zeta_raises(monkeypatch, lt: str, n: int, bad=None):
     monkeypatch.setattr(zmod, "zeta_path", broken)
 
 
-FAULTS = [_swap_images, _negate_first_twist, _zeta_raises]
+def _reading_word_fault(monkeypatch, change):
+    true_word = zmod.reading_word
+    monkeypatch.setattr(zmod, "reading_word", lambda vp, t: SignedPermutation(change(true_word(vp, t).window)))
+
+
+def _swap_last_letters(monkeypatch, lt: str, n: int):
+    """A reading-word fault: the last two letters trade places, at every
+    rank above 1."""
+    _reading_word_fault(monkeypatch, lambda w: (*w[:-2], w[-1], w[-2]) if len(w) > 1 else w)
+
+
+def _negate_last_letter(monkeypatch, lt: str, n: int):
+    """A reading-word fault: the last letter changes sign."""
+    _reading_word_fault(monkeypatch, lambda w: (*w[:-1], -w[-1]))
+
+
+FAULTS = [_swap_images, _negate_first_twist, _zeta_raises, _swap_last_letters, _negate_last_letter]
 
 
 @pytest.mark.parametrize("lt,n", RANKS)
