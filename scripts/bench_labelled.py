@@ -4,15 +4,17 @@
 For each type B, C and D and each of its checks, the seconds of
 run_suite(type, 4, [check]), the median over three fresh processes.
 Then the wall time, peak RSS and report sha256 of
-`python -m zetakit verify --type C --n 5`, and, with --c6, of
-`verify --type C --n 6` with the checks named there.
+`python -m zetakit verify --type C --n 5`, and, with --rank N, of
+`verify --type {B,C,D} --n N` with every check, with ZETAKIT_CAP raised
+to the largest enumeration the guard of verify counts for the run.
 
 Run it once per tree, on the same machine, into the same file:
 
-    python scripts/bench_labelled.py --src ../parent/src --name parent
-    python scripts/bench_labelled.py --src src --name change
+    python scripts/bench_labelled.py --src ../parent/src --name parent --rank 6
+    python scripts/bench_labelled.py --src src --name change --rank 6
 
-Each run adds its results under --name to --out (BENCH_labelled.json).
+Each run adds its results under --name to --out (BENCH_labelled.json),
+keeping those of an earlier run under that name that it does not repeat.
 """
 
 import argparse
@@ -53,17 +55,20 @@ def check_seconds(src: str, lt: str, check: str) -> float:
     return statistics.median(times)
 
 
-def verify_run(src: str, argv) -> dict:
-    """Wall seconds, peak RSS and report digest of one `zetakit verify` run."""
+def verify_run(src: str, argv, cap=None) -> dict:
+    """Wall seconds, peak RSS and report digest of one `zetakit verify` run,
+    under ZETAKIT_CAP=cap unless cap is None."""
+    env = _env(src) if cap is None else dict(_env(src), ZETAKIT_CAP=str(cap))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "zetakit", "verify", *argv],
-                            env=_env(src), stdout=subprocess.PIPE)
+                            env=env, stdout=subprocess.PIPE)
     report = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {
         "argv": ["zetakit", "verify", *argv],
+        **({} if cap is None else {"zetakit_cap": cap}),
         "exit_code": proc.returncode,
         "wall_s": round(wall, 2),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
@@ -95,10 +100,11 @@ def main() -> int:
     parser.add_argument("--src", default="src", help="the src directory of the tree to measure")
     parser.add_argument("--name", required=True, help="key of this tree's results, e.g. parent or change")
     parser.add_argument("--out", default="BENCH_labelled.json")
-    parser.add_argument("--c6", metavar="CHECKS", help="also run verify --type C --n 6 --check CHECKS")
+    parser.add_argument("--rank", type=int, help="also run verify --type {B,C,D} --n RANK with every check")
     args = parser.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))
+    from zetakit.paths import count_paths, enumeration_cap
     from zetakit.typespec import type_spec
 
     per_check = {}
@@ -113,9 +119,14 @@ def main() -> int:
         "verify_C5": verify_run(args.src, ["--type", "C", "--n", "5"]),
     }
     print(result["verify_C5"], file=sys.stderr)
-    if args.c6:
-        result["verify_C6"] = verify_run(args.src, ["--type", "C", "--n", "6", "--check", args.c6])
-        print(result["verify_C6"], file=sys.stderr)
+    for lt in "BCD" if args.rank else ():
+        spec = type_spec(lt)
+        # the labelled checks' count at the top rank, as verify's cap guard counts it
+        need = sum(count_paths(side.kind(args.rank)) for side in (spec.source, spec.target))
+        need += spec.modulus(args.rank) ** args.rank
+        run = verify_run(args.src, ["--type", lt, "--n", str(args.rank)], max(need, enumeration_cap()))
+        result["verify_%s%d" % (lt, args.rank)] = run
+        print(run, file=sys.stderr)
 
     data = {}
     if os.path.exists(args.out):
@@ -124,7 +135,7 @@ def main() -> int:
     data["machine"] = {"cpu": _cpu(), "nproc": len(os.sched_getaffinity(0)),
                        "python": platform.python_version()}
     data["repeat"] = REPEAT
-    data[args.name] = result
+    data.setdefault(args.name, {}).update(result)
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")

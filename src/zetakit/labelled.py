@@ -4,22 +4,29 @@ run_pass runs the requested checks at one rank in two phases.  The
 source phase enumerates the source paths once; each check runs its
 per-path test on the path's _PathData, whose fields (the zeta image
 first) are computed once, when a check first reads them, and each
-labelled check runs its per-labelling test on every vertical labelling
-of the path, a plain window tuple, in the order of torus.enumerate_vert.
-The target phase enumerates the target paths once, if a check reads
-them, and a finish step settles each check's counts.  Each check keeps
-its own first counterexample.  A run of unlabelled checks never computes
-what only the labelled ones read: lambda, the labellings, the image's
-antichain and its forms, the reading-word slots and the Weyl group.
+labelled check gives the path's first counterexample among its vertical
+labellings, in the order of torus.enumerate_vert.  The target phase
+enumerates the target paths once, if a check reads them, and a finish
+step settles each check's counts.  Each check keeps its own first
+counterexample.  A run of unlabelled checks never computes what only the
+labelled ones read: lambda, the labellings, the image's antichain and its
+forms, the reading-word slots and the Weyl group.
+
+Labellings are sets over the rank's group.  _Rank keeps, per positivity
+form and per sign parity, the group windows that pass as the bits of one
+int, so the labellings of a path, those whose reading word fits the
+image, and the diagonal labellings of a target are ANDs of these ints,
+counted by popcount.  A list of windows is built only where something
+reads a labelling: a counterexample, the refined stats, an image clash.
 
 On one path the reading word is the labels read at fixed signed slots,
-and a signed permutation gives distinct slots distinct values.  So
-uniform, anderson and rise_valley each hold for every labelling of the
-path or for none: each decides its identity once per path, on the slots,
-and its per-labelling test only reports that verdict (uniform after the
-word's fit).  The group side of uniform and anderson is the label twist
-and the frame acting on slots, and is never read off the image it is
-compared with.
+and a signed permutation gives distinct slots distinct values.  So the
+image's forms pull back through the slots to forms on the labels; the
+words of one path are distinct; and uniform, anderson and rise_valley
+each hold for every labelling of the path or for none, and decide their
+identity once per path, on the slots.  The group side of uniform and
+anderson is the label twist and the frame acting on slots, and is never
+read off the image it is compared with.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .affine import (
 from .errors import InvalidLabelling, ZetakitError
 from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned
 from .rootposet import _forms, antichain_forms, ballot_to_antichain
-from .signedperm import SignedPermutation, count_positive, passes, passing, weyl_group
+from .signedperm import SignedPermutation, count_positive, weyl_group
 from .torus import VertPath, label_twist, lambda_of_path, vertical_forms, wall_images
 from .typespec import type_spec
 
@@ -58,6 +65,21 @@ def _signed(win) -> tuple:
 
 def _text(win) -> str:
     return "[%s]" % ",".join(map(str, win))
+
+
+def _word(read, v) -> tuple:
+    """The reading word of the labels v on a path with slots read."""
+    ext = _signed(v)
+    return tuple([ext[k] for k in read])
+
+
+def _pull(forms, parity, read):
+    """The forms and parity the labels v pass iff _word(read, v) passes
+    forms and parity: slot i of the word is label |read[i]| times the sign
+    of read[i]."""
+    at = [(abs(k) - 1, 1 if k > 0 else -1) for k in read]
+    pulled = [(at[i][0], a * at[i][1], at[j][0] if b else 0, b * at[j][1]) for i, a, j, b in forms]
+    return pulled, None if parity is None else (parity + sum(k < 0 for k in read)) % 2
 
 
 def _token(is_abs, k1, k2) -> tuple:
@@ -123,16 +145,54 @@ class _lazy:
         return value
 
 
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
 class _Rank:
-    """What every check at one (type, rank) shares."""
+    """What every check at one (type, rank) shares.  A set of windows is an
+    int with bit k for windows[k]."""
 
     windows = _lazy(lambda r: [w.window for w in weyl_group(r.spec.label_type, r.n)])
+    everything = _lazy(lambda r: (1 << len(r.windows)) - 1)
     identity = _lazy(lambda r: SignedPermutation.identity(r.n))
     frame = _lazy(lambda r: dominant_frame(r.lt, r.n))
     frame_inv = _lazy(lambda r: r.frame.inverse())
 
     def __init__(self, lt: str, n: int):
         self.lt, self.n, self.spec = lt, n, type_spec(lt)
+        self.index = {}  # form (i, a, j, b) or sign parity -> the windows that pass
+
+    def _bits(self, key) -> int:
+        bits = self.index.get(key)
+        if bits is None:
+            if isinstance(key, int):
+                flags = [sum(x < 0 for x in w) % 2 == key for w in self.windows]
+            else:
+                i, a, j, b = key
+                flags = [a * w[i] + b * w[j] > 0 for w in self.windows]
+            bits = self.index[key] = int(bytes(flags)[::-1].translate(_BITS), 2)
+        return bits
+
+    def select(self, forms, parity=None) -> int:
+        """The windows that pass the forms (i, a, j, b), a*w[i] + b*w[j] > 0,
+        and, unless parity is None, have that many negative entries mod 2."""
+        bits = self.everything if parity is None else self._bits(parity)
+        for form in forms:
+            bits &= self._bits(form)
+        return bits
+
+    def listed(self, bits: int) -> list:
+        """The windows in bits, in their order."""
+        return [self.windows[k] for k, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
+
+
+def _first_misfit(d: _PathData):
+    bad = d.mask and d.mask & ~d.r.select(*_pull(*d.fit, d.read))
+    if not bad:
+        return None
+    k = (d.mask & ((bad & -bad) - 1)).bit_count()
+    word = _word(d.read, d.labellings[k])
+    return k, InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), d.image))
 
 
 class _PathData:
@@ -141,7 +201,10 @@ class _PathData:
 
     image = _lazy(lambda d: zeta.zeta_path(d.path, d.lt))
     lam = _lazy(lambda d: lambda_of_path(d.path, d.lt))
-    labellings = _lazy(lambda d: passing(d.r.windows, *vertical_forms(d.path, d.lt)))
+    # the vertical labellings as a set, their number and their list
+    mask = _lazy(lambda d: d.r.select(*vertical_forms(d.path, d.lt)))
+    count = _lazy(lambda d: d.mask.bit_count())
+    labellings = _lazy(lambda d: d.r.listed(d.mask))
     antichain = _lazy(lambda d: ballot_to_antichain(d.image, d.lt))
     # the forms and parity a word must pass to label the image diagonally
     fit = _lazy(lambda d: _forms(d.antichain, d.lt))
@@ -150,35 +213,27 @@ class _PathData:
     twist = _lazy(lambda d: label_twist(VertPath(d.path, d.r.identity), d.lt).window)
     mu = _lazy(lambda d: zeta.area_vector(d.path, d.lt))
     sigma = _lazy(lambda d: grassmannian_companion(d.mu, d.lt))
+    # the first labelling whose word does not label the image diagonally, as
+    # (position, what to_parking_function and area_prime raise), or None,
+    # and the labellings before it
+    misfit = _lazy(_first_misfit)
+    fitting = _lazy(lambda d: d.labellings if d.misfit is None else d.labellings[: d.misfit[0]])
 
     def __init__(self, p: Path, r: _Rank):
         self.path, self.lt, self.r = p, r.lt, r
-
-    def item(self, v, fit):
-        """(v, its reading word, whether the word passes the forms fit, or
-        None without them)."""
-        ext = _signed(v)
-        word = tuple([ext[k] for k in self.read])
-        return v, word, fit and passes(word, *fit)
-
-    def misfit(self, word) -> InvalidLabelling:
-        """What to_parking_function and area_prime raise for a word that
-        does not label the image diagonally."""
-        return InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), self.image))
 
 
 class _Check:
     """One check's outcome (None, the first counterexample, or the
     ZetakitError it raised) and the objects it examined.  Its hooks:
     source(d), the per-path test, gives a counterexample or None; labels(d)
-    sets up the per-labelling test, which gives None, a "... %s | %s"
-    template for (path, labels) or the exception to raise; target(q)
-    is the per-target test; finish() gives the outcome after both phases;
-    parts() lists what the pass runs for the check.  With reads_fit, items
-    say whether the word labels the image diagonally."""
+    gives the first counterexample among the path's labellings as
+    (position, outcome), where the outcome is a "... %s | %s" template for
+    (path, labels) or the exception to raise, or None; target(q) is the
+    per-target test; finish() gives the outcome after both phases; parts()
+    lists what the pass runs for the check."""
 
     source = labels = target = finish = None
-    reads_fit = False
 
     def __init__(self, r: _Rank):
         self.r, self.outcome, self.examined = r, None, 0
@@ -296,55 +351,46 @@ class _StatsIdentity(_Check):
 
 
 class _RefinedStats(_Check):
-    reads_fit = True
-
     def labels(self, d: _PathData):
         dinv = stats.dinv_c_prime_forms(d.path)
-        ideal = stats.area_prime_forms(d.image, "C")
-
-        def test(item):
-            v, word, fits = item
-            if not fits:
-                return d.misfit(word)
-            if count_positive(v, dinv) != count_positive(word, ideal):
-                return "refined dinv/area differ at %s | %s"
-            return None
-
-        return test
+        # area' of the word, as forms on the labels, up to the first misfit
+        ideal, _ = _pull(stats.area_prime_forms(d.image, "C"), None, d.read)
+        for k, v in enumerate(d.fitting):
+            if count_positive(v, dinv) != count_positive(v, ideal):
+                return k, "refined dinv/area differ at %s | %s"
+        return d.misfit
 
 
 class _LabelledBijectivity(_Check):
     """zeta is injective on the labelled paths, which are as many as the
     points of the torus and as the diagonally labelled targets."""
 
-    reads_fit = True
-
     def __init__(self, r: _Rank):
         super().__init__(r)
-        self.seen = set()  # (image, reading word) keys
         self.fits = {}  # image key -> its antichain forms
+        self.sources = {}  # image key -> (path, reading-word slots) of each source path with it
         self.expected = r.spec.modulus(r.n) ** r.n
         self.diagonal = 0
 
     def labels(self, d: _PathData):
-        key, seen = render_path(d.image), self.seen
+        # the words of one path are distinct, so two labelled paths can
+        # share a word only if their paths share an image
+        key = render_path(d.image)
         self.fits[key] = d.fit
-
-        def test(item):
-            _, word, fits = item
-            if not fits:
-                return "image of %s | %s is not diagonally labelled"
-            if (key, word) in seen:
-                return "labelled duplicate at %s | %s"
-            seen.add((key, word))
-            return None
-
-        return test
+        earlier = self.sources.setdefault(key, [])
+        if earlier:
+            r = self.r
+            words = {_word(read, v) for p, read in earlier for v in r.listed(r.select(*vertical_forms(p, r.lt)))}
+            for k, v in enumerate(d.fitting):
+                if _word(d.read, v) in words:
+                    return k, "labelled duplicate at %s | %s"
+        earlier.append((d.path, d.read))
+        return d.misfit and (d.misfit[0], "image of %s | %s is not diagonally labelled")
 
     def target(self, q):
         if self.examined == self.expected:  # else finish reports the domain size
             forms = self.fits.get(render_path(q)) or antichain_forms(q, self.r.lt)
-            self.diagonal += len(passing(self.r.windows, *forms))
+            self.diagonal += self.r.select(*forms).bit_count()
 
     def finish(self):
         if self.examined != self.expected:
@@ -361,13 +407,10 @@ class _RiseValley(_Check):
         rise = sorted(_token(*t) for t in _rise_template(d.path, d.lt))
         read = _signed(d.read)
         valley = sorted(_token(a, read[k1], read[k2]) for a, k1, k2 in _valley_template(d.antichain))
-        verdict = None if rise == valley else "label multisets differ at %s | %s"
-        return lambda item: verdict
+        return None if rise == valley else (0, "label multisets differ at %s | %s")
 
 
 class _Uniform(_Check):
-    reads_fit = True
-
     def labels(self, d: _PathData):
         # group side: u*(tau*sigma) for the twisted labels u, against the
         # roots (tau*sigma)^-1 sends the walls through lam to.  u reads the
@@ -376,13 +419,9 @@ class _Uniform(_Check):
         ts = dominant_frame_parts(d.lt, self.r.n)[1].compose(d.sigma)
         twist = _signed(d.twist)
         same = wall_images(ts, d.lam, d.lt) == d.antichain and tuple([twist[t] for t in ts.window]) == d.read
-        verdict = None if same else "parking functions differ at %s | %s"
-
-        def test(item):
-            _, word, fits = item
-            return verdict if fits else d.misfit(word)
-
-        return test
+        # a labelling that does not fit fails to_parking_function first
+        miss = d.misfit
+        return miss if same or (miss and miss[0] == 0) else (0, "parking functions differ at %s | %s")
 
 
 class _Anderson(_Check):
@@ -404,8 +443,7 @@ class _Anderson(_Check):
             s = _residue(a, K)
             parts.append((read[s], (a - s) // K))
         same = orbit_ok and _by_label(parts, n, m) == _by_label(zip(d.twist, d.lam), n, m)
-        verdict = None if same else "window arithmetic fails at %s | %s"
-        return lambda item: verdict
+        return None if same else (0, "window arithmetic fails at %s | %s")
 
 
 # every check, by name
@@ -432,19 +470,16 @@ def run_pass(lt: str, n: int, names) -> dict:
     run = [part for c in checks.values() for part in c.parts()]
     live = run
     for p in r.spec.sources(n):
-        d, tests, fit = _PathData(p, r), [], None
+        d = _PathData(p, r)
         for c in live:
             try:
                 if c.source:
                     c.examined += 1
                     c.outcome = c.source(d)
                 if c.labels and c.outcome is None:
-                    fit = d.fit if c.reads_fit else fit
-                    tests.append((c, c.labels(d)))
+                    _count_labellings(c, d, c.labels(d))
             except ZetakitError as e:
                 c.outcome = e
-        if tests:
-            _run_labellings(d, tests, fit)
         live = [c for c in live if c.outcome is None]
     takers = [c for c in run if c.target and c.outcome is None]
     for q in r.spec.targets(n) if takers else ():
@@ -464,25 +499,12 @@ def _settle(c: _Check, hook, *args) -> None:
         c.outcome = e
 
 
-def _run_labellings(d: _PathData, tests, fit) -> None:
-    """Run the per-labelling tests on every vertical labelling of the path;
-    each stops at its check's first counterexample.  A failure to list or
-    read the labellings reaches every check still open on the path."""
-    try:
-        for v in d.labellings:
-            item = d.item(v, fit)
-            failed = False
-            for c, test in tests:
-                c.examined += 1
-                bad = test(item)
-                if bad is not None:
-                    c.outcome = bad if isinstance(bad, Exception) else bad % (d.path, _text(v))
-                    failed = True
-            if failed:
-                tests = [t for t in tests if t[0].outcome is None]
-                if not tests:
-                    return
-    except ZetakitError as e:
-        for c, _ in tests:
-            if c.outcome is None:
-                c.outcome = e
+def _count_labellings(c: _Check, d: _PathData, hit) -> None:
+    """c examined the path's labellings up to its first counterexample hit,
+    (position, outcome), or all of them if there is none."""
+    if hit is None or hit[0] >= d.count:
+        c.examined += d.count
+        return
+    k, bad = hit
+    c.examined += k + 1
+    c.outcome = bad if isinstance(bad, Exception) else bad % (d.path, _text(d.labellings[k]))

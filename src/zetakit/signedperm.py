@@ -106,15 +106,6 @@ def passes(win, forms, parity=None) -> bool:
     return all(a * win[i] + b * win[j] > 0 for i, a, j, b in forms)
 
 
-def passing(windows, forms, parity=None) -> list:
-    """The windows that pass, in their order: one filter per form."""
-    if parity is not None:
-        windows = [w for w in windows if sum(1 for x in w if x < 0) % 2 == parity]
-    for i, a, j, b in forms:
-        windows = [w for w in windows if a * w[i] + b * w[j] > 0]
-    return list(windows)
-
-
 def count_positive(win, forms) -> int:
     """The number of forms (i, a, j, b) with a*win[i] + b*win[j] > 0."""
     return sum(1 for i, a, j, b in forms if a * win[i] + b * win[j] > 0)

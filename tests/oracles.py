@@ -14,8 +14,8 @@ from functools import lru_cache
 
 from zetakit import paths, stats, zeta
 from zetakit.affine import _residue, coerce_affine, dominant_frame_parts, translation
-from zetakit.errors import NotAntichain, NotRepresentative, ZetakitError
-from zetakit.labelled import _rise_template, _signed, _valley_template
+from zetakit.errors import InvalidLabelling, NotAntichain, NotRepresentative, ZetakitError
+from zetakit.labelled import _rise_template, _signed, _text, _valley_template
 from zetakit.paths import (
     E,
     N,
@@ -795,11 +795,25 @@ LABELLED_ORACLES = {
 
 
 # ---------------------------------------------------------------------------
+# the labellings as lists: the pass keeps them as sets of group windows
+# (labelled._Rank.select) and must list the same windows in the same order
+
+
+def passing(windows, forms, parity=None) -> list:
+    """The windows that pass, in their order: one filter per form."""
+    if parity is not None:
+        windows = [w for w in windows if sum(1 for x in w if x < 0) % 2 == parity]
+    for i, a, j, b in forms:
+        windows = [w for w in windows if a * w[i] + b * w[j] > 0]
+    return list(windows)
+
+
+# ---------------------------------------------------------------------------
 # the per-labelling tests of rise_valley, uniform and anderson, label
 # arithmetic on raw windows for one labelling at a time; the pass decides
 # each identity once per path, on slots, and must give on every labelling
 # what these give.  Each takes a labelled._PathData and returns a test of
-# the pass's items (v, reading word, whether the word fits the image).
+# items (v, reading word, whether the word fits the image).
 
 
 def _pair_tokens(template, ext) -> list:
@@ -825,6 +839,12 @@ def rise_valley_by_labels(d):
     return test
 
 
+def _misfit(d, word) -> InvalidLabelling:
+    """What to_parking_function raises for a word that does not label the
+    image of d diagonally."""
+    return InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), d.image))
+
+
 def uniform_by_labels(d):
     # u*(tau*sigma) for the twisted labels u, against the word
     ts = dominant_frame_parts(d.lt, d.r.n)[1].compose(d.sigma)
@@ -833,7 +853,7 @@ def uniform_by_labels(d):
     def test(item):
         v, word, fits = item
         if not fits:
-            return d.misfit(word)
+            return _misfit(d, word)
         ext = _signed(v)
         u = _signed([ext[k] for k in d.twist])
         if not same_roots or tuple(u[t] for t in ts.window) != word:

@@ -18,7 +18,7 @@ from zetakit.signedperm import SignedPermutation
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, modulus, type_spec
 from zetakit.verify import run_suite
 
-from oracles import LABELLED_ORACLES, PER_LABELLING_ORACLES, UNLABELLED_ORACLES
+from oracles import LABELLED_ORACLES, PER_LABELLING_ORACLES, UNLABELLED_ORACLES, passing
 
 RANKS = (
     [("A", n) for n in (1, 2, 3, 4)]
@@ -84,20 +84,29 @@ def test_each_check_alone_matches_all_together(lt, n):
         assert run_pass(lt, n, [name]) == {name: together[name]}
 
 
+def _words(d, labellings) -> list:
+    """The reading word of each labelling of the path, read off its slots."""
+    return [tuple(labelled._signed(v)[k] for k in d.read) for v in labellings]
+
+
 @pytest.mark.parametrize("lt", "BCD")
 def test_per_path_verdicts_match_the_per_labelling_tests(lt):
-    """At rank 5, one above RANKS: on every labelling of every path,
-    rise_valley, uniform and anderson give what their label arithmetic on
-    the raw windows gives."""
+    """At rank 5, one above RANKS: on every path, rise_valley, uniform and
+    anderson give the first (position, outcome) that their label
+    arithmetic on the raw windows gives, run in order on every labelling
+    the reference filter lists."""
     r = labelled._Rank(lt, 5)
     checks = {name: labelled._CHECKS[name](r) for name in PER_LABELLING_ORACLES}
     for p in r.spec.sources(5):
         d = labelled._PathData(p, r)
-        tests = [(c.labels(d), PER_LABELLING_ORACLES[name](d)) for name, c in checks.items()]
-        for v in d.labellings:
-            item = d.item(v, d.fit)
-            for test, oracle in tests:
-                assert _shown(test(item)) == _shown(oracle(item)), (p, v)
+        labellings = passing(r.windows, *torus.vertical_forms(p, lt))
+        assert d.count == len(labellings) > 0
+        items = [(v, word, signedperm.passes(word, *d.fit)) for v, word in zip(labellings, _words(d, labellings))]
+        for name, c in checks.items():
+            oracle = PER_LABELLING_ORACLES[name](d)
+            first = next(((k, _shown(bad)) for k, bad in enumerate(map(oracle, items)) if bad is not None), None)
+            hit = c.labels(d)
+            assert (hit and (hit[0], _shown(hit[1]))) == first, (p, name)
 
 
 def test_verify_dispatches_every_labelled_check_to_the_pass():
@@ -163,7 +172,49 @@ def _negate_last_letter(monkeypatch, lt: str, n: int):
     _reading_word_fault(monkeypatch, lambda w: (*w[:-1], -w[-1]))
 
 
-FAULTS = [_swap_images, _negate_first_twist, _zeta_raises, _swap_last_letters, _negate_last_letter]
+def _merge_images(monkeypatch, lt: str, n: int):
+    """A path-level fault that reaches the image clash of
+    labelled_bijectivity: the third source path takes the second's image
+    (the second the first's at a rank with fewer; none with one path)."""
+    true_zeta = zmod.zeta_path
+    sources = list(type_spec(lt).sources(n))
+    pair = sources[1:3] if len(sources) > 2 else sources[:2]
+    if len(pair) == 2:
+        giver, taker = pair
+        image = true_zeta(giver, lt)
+        monkeypatch.setattr(zmod, "zeta_path", lambda p, t: image if p == taker else true_zeta(p, t))
+
+
+FAULTS = [_swap_images, _negate_first_twist, _zeta_raises, _swap_last_letters, _negate_last_letter, _merge_images]
+
+
+SELECT_RANKS = [("B", n) for n in (2, 3, 4, 5)] + [("C", n) for n in (1, 2, 3, 4, 5)] + [("D", n) for n in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("lt,n", SELECT_RANKS)
+@pytest.mark.parametrize("fault", [None, _negate_last_letter], ids=["clean", "negated_letter"])
+def test_labelling_sets_list_what_the_reference_filter_lists(monkeypatch, fault, lt, n):
+    """_Rank.select against the reference filter, on every source path's
+    vertical forms and on its image's forms, as given and pulled back
+    through the reading-word slots; the first misfit is the first labelling
+    whose word fails the image's forms.  Under a reading-word fault, words
+    do not fit, so the misfit positions are tested too."""
+    if fault:
+        fault(monkeypatch, lt, n)
+    r = labelled._Rank(lt, n)
+    misfits = 0
+    for p in r.spec.sources(n):
+        d = labelled._PathData(p, r)
+        pulled = labelled._pull(*d.fit, d.read)
+        for forms in (torus.vertical_forms(p, lt), d.fit, pulled):
+            assert r.listed(r.select(*forms)) == passing(r.windows, *forms)
+        labellings = passing(r.windows, *torus.vertical_forms(p, lt))
+        fits = [signedperm.passes(word, *d.fit) for word in _words(d, labellings)]
+        assert r.listed(d.mask & r.select(*pulled)) == [v for v, ok in zip(labellings, fits) if ok]
+        first = fits.index(False) if False in fits else None
+        assert (d.misfit and d.misfit[0]) == first, p
+        misfits += first is not None
+    assert bool(misfits) == bool(fault)
 
 
 @pytest.mark.parametrize("lt,n", RANKS)
@@ -182,6 +233,23 @@ def test_faults_give_the_same_first_counterexample(monkeypatch, fault, lt):
     failed = {name for name, (o, _) in _assert_same(lt, 3).items() if o is not None}
     # every fault breaks the labelled bijection and the uniform oracle
     assert {"labelled_bijectivity", "uniform"} <= failed
+
+
+@pytest.mark.parametrize("lt", ["B", "C", "D"])
+def test_a_labelled_counterexample_ends_the_count_where_it_stands(monkeypatch, lt):
+    """A labelled check that fails at (path, labels) examined the labellings
+    of torus.enumerate_vert up to that one, under every fault."""
+    place = {" %s | %s" % (vp.path, vp.labels): k for k, vp in enumerate(torus.enumerate_vert(lt, 3), 1)}
+    compared = 0
+    for fault in FAULTS:
+        with monkeypatch.context() as m:
+            fault(m, lt, 3)
+            for name, (outcome, examined) in run_pass(lt, 3, LABELLED_CHECKS).items():
+                at = [k for key, k in place.items() if isinstance(outcome, str) and key in outcome]
+                if at:
+                    assert [examined] == at, (fault.__name__, name, outcome)
+                    compared += 1
+    assert compared >= len(FAULTS)
 
 
 def test_a_path_data_fault_is_not_overwritten_by_a_count(monkeypatch):
