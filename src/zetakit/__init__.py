@@ -55,6 +55,7 @@ from .verify import Report, anderson_check, run_suite, uniform_oracle
 from .zeta import (
     area_vector,
     bounce_path,
+    inverse_zeta,
     inverse_zeta_c,
     reading_word,
     sweep_c,

@@ -41,8 +41,7 @@ def _cmd_zeta(args) -> int:
     n = (args.path.count("N") + args.path.count("E") + 1) // 2
     if args.inverse:
         target = parse_path(args.path, spec.target.kind(n))
-        preimage = zeta.inverse_zeta_c(target) if lt == "C" else zeta.inverse_by_table(target, lt)
-        out = {"type": lt, "input": path_to_json(target), "preimage": path_to_json(preimage)}
+        out = {"type": lt, "input": path_to_json(target), "preimage": path_to_json(zeta.inverse_zeta(target, lt))}
         print(json.dumps(out))
         return 0
     source = parse_path(args.path, spec.source.kind(n))

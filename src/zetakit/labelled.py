@@ -24,9 +24,10 @@ and a signed permutation gives distinct slots distinct values.  So the
 image's forms pull back through the slots to forms on the labels; the
 words of one path are distinct; and uniform, anderson and rise_valley
 each hold for every labelling of the path or for none, and decide their
-identity once per path, on the slots.  The group side of uniform and
-anderson is the label twist and the frame acting on slots, and is never
-read off the image it is compared with.
+identity once per path, on the slots.  uniform reads uniform_oracle's
+formula on the slots; anderson runs verify's window arithmetic at the
+identity labelling.  Neither reads its group side off the image it is
+compared with.
 """
 
 from __future__ import annotations
@@ -34,20 +35,14 @@ from __future__ import annotations
 import math
 
 from . import paths, stats, zeta
-from .affine import (
-    _residue,
-    coerce_affine,
-    dominant_frame,
-    dominant_frame_parts,
-    grassmannian_companion,
-    translation,
-)
+from .affine import dominant_frame_parts, grassmannian_companion
 from .errors import InvalidLabelling, ZetakitError
 from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned
 from .rootposet import _forms, antichain_forms, ballot_to_antichain
-from .signedperm import SignedPermutation, count_positive, weyl_group
-from .torus import VertPath, label_twist, lambda_of_path, vertical_forms, wall_images
+from .signedperm import SignedPermutation, count_positive, signed_windows
+from .torus import VertPath, label_twist, lambda_of_path, to_torus, vertical_forms, wall_images
 from .typespec import type_spec
+from .verify import window_arithmetic
 
 # the rank up to which stats_identity also checks dinv' = area' o zeta on labelled paths
 REFINED_MAX_RANK = 4
@@ -88,14 +83,6 @@ def _token(is_abs, k1, k2) -> tuple:
     signed permutation of the labels maps distinct tokens to distinct
     tokens."""
     return ("abs", abs(k1), k2) if is_abs else ("pair", min((k1, k2), (-k2, -k1)))
-
-
-def _by_label(pairs, n: int, m: int) -> list:
-    """x times the sign of k, modulo m, at label index |k|, for each (k, x)."""
-    out = [0] * n
-    for k, x in pairs:
-        out[abs(k) - 1] = (x if k > 0 else -x) % m
-    return out
 
 
 def _rise_template(p: Path, lt: str) -> list:
@@ -152,11 +139,10 @@ class _Rank:
     """What every check at one (type, rank) shares.  A set of windows is an
     int with bit k for windows[k]."""
 
-    windows = _lazy(lambda r: [w.window for w in weyl_group(r.spec.label_type, r.n)])
+    # the labels of B, C and D run over the whole signed group
+    windows = _lazy(lambda r: signed_windows(r.n))
     everything = _lazy(lambda r: (1 << len(r.windows)) - 1)
     identity = _lazy(lambda r: SignedPermutation.identity(r.n))
-    frame = _lazy(lambda r: dominant_frame(r.lt, r.n))
-    frame_inv = _lazy(lambda r: r.frame.inverse())
 
     def __init__(self, lt: str, n: int):
         self.lt, self.n, self.spec = lt, n, type_spec(lt)
@@ -208,9 +194,10 @@ class _PathData:
     antichain = _lazy(lambda d: ballot_to_antichain(d.image, d.lt))
     # the forms and parity a word must pass to label the image diagonally
     fit = _lazy(lambda d: _forms(d.antichain, d.lt))
-    # the slots of the reading word and of the label twist
-    read = _lazy(lambda d: zeta.reading_word(VertPath(d.path, d.r.identity), d.lt).window)
-    twist = _lazy(lambda d: label_twist(VertPath(d.path, d.r.identity), d.lt).window)
+    # the identity labelling, and the slots of its reading word and label twist
+    vp = _lazy(lambda d: VertPath(d.path, d.r.identity))
+    read = _lazy(lambda d: zeta.reading_word(d.vp, d.lt).window)
+    twist = _lazy(lambda d: label_twist(d.vp, d.lt).window)
     mu = _lazy(lambda d: zeta.area_vector(d.path, d.lt))
     sigma = _lazy(lambda d: grassmannian_companion(d.mu, d.lt))
     # the first labelling whose word does not label the image diagonally, as
@@ -426,23 +413,10 @@ class _Uniform(_Check):
 
 class _Anderson(_Check):
     def labels(self, d: _PathData):
-        # product = word * w_dom * frame^-1 = word * A for the path's affine
-        # A.  With A(k) = q*K + s for |s| <= n, product(k) = word(s) + q*K,
-        # whose translation part is -q at slot word(s) > 0, or q at slot
-        # -word(s); the torus vector negates it modulo m.  The other side is
-        # the twisted labels acting on lam, modulo m.  With word(s) = v(k)
-        # for k = read(s), both sides put, at label index |k|, a value times
-        # the sign of v(|k|) at position |v(|k|)|: they agree for every v
-        # iff the values agree modulo m.
-        r, read = self.r, _signed(d.read)
-        n, m, K = r.n, r.spec.modulus(r.n), 2 * r.n + 1
-        w_dom = translation(d.mu).compose(coerce_affine(d.sigma)).inverse()
-        orbit_ok = r.frame.compose(w_dom.inverse()).act((0,) * n) == d.lam
-        parts = []
-        for a in w_dom.compose(r.frame_inv).window:
-            s = _residue(a, K)
-            parts.append((read[s], (a - s) // K))
-        same = orbit_ok and _by_label(parts, n, m) == _by_label(zip(d.twist, d.lam), n, m)
+        # a labelling moves and signs the entries of both torus vectors
+        # alike, so the identity labelling decides the whole path
+        data = window_arithmetic(SignedPermutation(d.read), d.mu, d.sigma, d.lt)
+        same = data["vector"] == to_torus(d.vp, d.lt).coords and data["orbit_rep"] == d.lam
         return None if same else (0, "window arithmetic fails at %s | %s")
 
 

@@ -280,6 +280,16 @@ def east_counts(p: Path) -> tuple[int, ...]:
     return tuple(out)
 
 
+def path_of_east_counts(pi, kind: PathKind, sign: int = 1) -> Path:
+    """The path of the lattice kind (or its signed lift) whose k-th North
+    step has pi[k] East steps before it: the inverse of east_counts, for pi
+    weakly increasing and at most the kind's width."""
+    steps = [E] * unsigned(kind).params[0]
+    for k, v in enumerate(pi):
+        steps.insert(v + k, N)
+    return make_path(steps, kind, sign)
+
+
 def is_dyck(p: Path) -> bool:
     """True for lattice paths staying weakly above the main diagonal, and
     for every ballot path."""

@@ -342,14 +342,7 @@ def roots_from_json(texts, lattice_type: str) -> tuple[Root, ...]:
 
 def reflection(root: Root, n: int) -> SignedPermutation:
     """The reflection through the hyperplane orthogonal to the root."""
-    win = list(range(1, n + 1))
-    if root.kind == "diff":
-        win[root.i - 1], win[root.j - 1] = root.j, root.i
-    elif root.kind == "sum":
-        win[root.i - 1], win[root.j - 1] = -root.j, -root.i
-    else:
-        win[root.i - 1] = -root.i
-    return SignedPermutation(tuple(win))
+    return reflection_from_vector(to_vector(root, n), n)
 
 
 def reflection_from_vector(vec, n: int) -> SignedPermutation:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterator
 
 from .errors import NotBijective, RankMismatch, json_window
@@ -111,10 +112,16 @@ def count_positive(win, forms) -> int:
     return sum(1 for i, a, j, b in forms if a * win[i] + b * win[j] > 0)
 
 
+@lru_cache(maxsize=16)
+def signed_windows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The windows of every signed permutation of rank n: the permutations
+    in lexicographic order, each with its signs in itertools.product order."""
+    signs = list(itertools.product((1, -1), repeat=n))
+    return tuple(tuple(map(mul, s, p)) for p in itertools.permutations(range(1, n + 1)) for s in signs)
+
+
 def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
+    return map(SignedPermutation, signed_windows(n))
 
 
 @lru_cache(maxsize=32)

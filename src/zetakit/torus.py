@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import paths
 from .affine import _residue
 from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_choice, json_ints
-from .paths import Path, east_counts, make_path, rises, sign_of
+from .paths import Path, east_counts, path_of_east_counts, rises, sign_of
 from .rootposet import highest_root_vector, reflection_from_vector, root_from_vector, simple_root_vectors
 from .signedperm import SignedPermutation, passes, weyl_group
 from .typespec import TORUS_TYPES, min_rank, modulus, type_spec  # noqa: F401  (min_rank is re-exported)
@@ -132,12 +132,8 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
     emax = paths.unsigned(kind).params[0]  # the kind is lattice(emax, n) or its signed lift
     if pi[-1] > emax:
         raise NotRepresentative("east count %d exceeds width %d" % (pi[-1], emax))
-    # the k-th North step (from 0) has pi[k] East steps and k North steps before it
-    steps = [paths.E] * emax
-    for k, v in enumerate(pi):
-        steps.insert(v + k, paths.N)
     # only type D has representatives with a negative first coordinate
-    return make_path(steps, kind, -1 if lam[0] < 0 else 1)
+    return path_of_east_counts(pi, kind, -1 if lam[0] < 0 else 1)
 
 
 def wall_roots(lam, lattice_type: str) -> tuple[tuple[int, ...], ...]:

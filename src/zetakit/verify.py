@@ -6,13 +6,15 @@ byte-identical across runs.  The uniform and window-arithmetic checks tie
 the combinatorial maps to the group-theoretic construction and serve as an
 independent oracle for them.  All the checks of a rank share one pass
 (labelled.run_pass); uniform_oracle and anderson_check are the same
-oracles for a single labelled path.
+oracles for a single labelled path, and the pass runs window_arithmetic,
+the arithmetic behind anderson_check, at the identity labelling.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import zeta
 from .affine import (
@@ -25,6 +27,7 @@ from .affine import (
 from .errors import CapExceeded
 from .paths import count_paths, enumeration_cap
 from .rootposet import ParkingFunction
+from .signedperm import SignedPermutation
 from .torus import VertPath, label_twist, lambda_of_path, to_torus, wall_images
 from .typespec import LABELLED_CHECKS, TypeSpec, modulus, type_spec
 
@@ -42,18 +45,25 @@ def uniform_oracle(vp: VertPath, lattice_type: str) -> ParkingFunction:
 
 def anderson_windows(vp: VertPath, lattice_type: str) -> dict:
     """Window arithmetic behind the torus element of a labelled path."""
-    lam = lambda_of_path(vp.path, lattice_type)
-    n = len(lam)
-    m = modulus(lattice_type, n)
     mu = zeta.area_vector(vp.path, lattice_type)
     sigma = grassmannian_companion(mu, lattice_type)
-    w_dom = translation(mu).compose(coerce_affine(sigma)).inverse()
-    word = zeta.reading_word(vp, lattice_type)
+    return window_arithmetic(zeta.reading_word(vp, lattice_type), mu, sigma, lattice_type)
+
+
+def window_arithmetic(word: SignedPermutation, mu, sigma: SignedPermutation, lattice_type: str) -> dict:
+    """anderson_windows' arithmetic on a reading word, an area vector mu and
+    its Grassmannian companion sigma: w_dom = (t(mu)*sigma)^-1, w_reg = word
+    * w_dom, the torus vector is minus the translation part of product =
+    w_reg * frame^-1 modulo m, and frame * t(mu)*sigma sends 0 to orbit_rep."""
+    n = len(mu)
+    m = modulus(lattice_type, n)
+    ts = translation(mu).compose(coerce_affine(sigma))
+    w_dom = ts.inverse()
     w_reg = coerce_affine(word).compose(w_dom)
-    frame = dominant_frame(lattice_type, n)
-    product = w_reg.compose(frame.inverse())
+    frame, frame_inv = _frames(lattice_type, n)
+    product = w_reg.compose(frame_inv)
     vector = tuple((-c) % m for c in product.act((0,) * n))
-    orbit_rep = frame.compose(w_dom.inverse()).act((0,) * n)
+    orbit_rep = frame.act(ts.act((0,) * n))
     return {
         "w_dom": w_dom,
         "w_reg": w_reg,
@@ -61,6 +71,13 @@ def anderson_windows(vp: VertPath, lattice_type: str) -> dict:
         "vector": vector,
         "orbit_rep": orbit_rep,
     }
+
+
+@lru_cache(maxsize=64)
+def _frames(lattice_type: str, n: int):
+    """dominant_frame(type, n) and its inverse."""
+    frame = dominant_frame(lattice_type, n)
+    return frame, frame.inverse()
 
 
 def anderson_check(vp: VertPath, lattice_type: str) -> bool:

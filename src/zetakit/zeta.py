@@ -17,6 +17,7 @@ from .paths import (
     lattice,
     lift_signed,
     make_path,
+    path_of_east_counts,
     segment,
     sign_of,
     strip_signs,
@@ -25,7 +26,7 @@ from .signedperm import SignedPermutation
 from .torus import VertPath, lambda_of_path, path_of_lambda
 from .typespec import type_spec
 
-N, E = paths.N, paths.E
+N = paths.N
 
 
 def area_vector(p: Path, lattice_type: str) -> tuple[int, ...]:
@@ -57,15 +58,7 @@ def path_of_area_vector(mu, lattice_type: str) -> Path:
     if lattice_type == "A":
         if not is_valid_area_vector(mu, "A"):
             raise NotRepresentative("%r is not an area vector in type A" % (mu,))
-        pi = tuple(i - mu[i - 1] - 1 for i in range(1, n + 1))
-        steps = []
-        prev = 0
-        for v in pi:
-            steps.extend([E] * (v - prev))
-            steps.append(N)
-            prev = v
-        steps.extend([E] * (n - prev))
-        return make_path(steps, lattice(n, n))
+        return path_of_east_counts([i - mu[i - 1] - 1 for i in range(1, n + 1)], lattice(n, n))
     lam = [0] * n
     for x, (i, s, c) in zip(mu, _frame(lattice_type, n)):
         lam[i] = s * x + c
@@ -276,6 +269,12 @@ def sweep_c(p: Path) -> Path:
     if len(set(keys)) != len(keys):
         raise InternalError("sweep labels collide: %r" % (keys,))
     return make_path(tuple(s for _, s in bag), ballot(2 * n))
+
+
+def inverse_zeta(p: Path, lattice_type: str) -> Path:
+    """The preimage of a target path under the zeta map of its type: the
+    bounce inverse in type C, a lookup in the source table otherwise."""
+    return inverse_zeta_c(p) if lattice_type == "C" else inverse_by_table(p, lattice_type)
 
 
 def inverse_by_table(p: Path, lattice_type: str) -> Path:

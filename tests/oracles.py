@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from zetakit import paths, stats, zeta
-from zetakit.affine import _residue, coerce_affine, dominant_frame_parts, translation
+from zetakit.affine import _residue, coerce_affine, dominant_frame, dominant_frame_parts, translation
 from zetakit.errors import InvalidLabelling, NotAntichain, NotRepresentative, ZetakitError
 from zetakit.labelled import _rise_template, _signed, _text, _valley_template
 from zetakit.paths import (
@@ -869,9 +869,10 @@ def anderson_by_labels(d):
     r = d.r
     n, m, K = r.n, r.spec.modulus(r.n), 2 * r.n + 1
     w_dom = translation(d.mu).compose(coerce_affine(d.sigma)).inverse()
-    orbit_ok = r.frame.compose(w_dom.inverse()).act((0,) * n) == d.lam
+    frame = dominant_frame(d.lt, n)
+    orbit_ok = frame.compose(w_dom.inverse()).act((0,) * n) == d.lam
     parts = []
-    for a in w_dom.compose(r.frame_inv).window:
+    for a in w_dom.compose(frame.inverse()).window:
         s = _residue(a, K)
         parts.append((s, (a - s) // K))
 

@@ -217,6 +217,34 @@ def test_labelling_sets_list_what_the_reference_filter_lists(monkeypatch, fault,
     assert bool(misfits) == bool(fault)
 
 
+def _scale_area_vector(monkeypatch, lt: str, n: int):
+    """A fault only the orbit comparison sees: the area vector is scaled by
+    2m + 1, which keeps it modulo m and keeps its Grassmannian companion,
+    so the torus vector stays and the orbit representative moves."""
+    true_area = zmod.area_vector
+    k = 2 * modulus(lt, n) + 1
+    monkeypatch.setattr(zmod, "area_vector", lambda p, t: tuple(k * x for x in true_area(p, t)))
+
+
+@pytest.mark.parametrize("lt,n", SELECT_RANKS)
+@pytest.mark.parametrize(
+    "fault", [None, _negate_first_twist, _scale_area_vector], ids=["clean", "negated_twist", "scaled_area"]
+)
+def test_the_pass_is_the_anderson_oracle_at_the_identity(monkeypatch, fault, lt, n):
+    """On every source path, the pass's anderson verdict is
+    verify.anderson_check on the path with the identity labelling."""
+    if fault:
+        fault(monkeypatch, lt, n)
+    r = labelled._Rank(lt, n)
+    check = labelled._CHECKS["anderson"](r)
+    verdicts = []
+    for p in r.spec.sources(n):
+        verdict = check.labels(labelled._PathData(p, r)) is None
+        assert verdict == verify.anderson_check(torus.VertPath(p, SignedPermutation.identity(n)), lt), p
+        verdicts.append(verdict)
+    assert all(verdicts) == (fault is None)
+
+
 @pytest.mark.parametrize("lt,n", RANKS)
 @pytest.mark.parametrize("fault", FAULTS)
 def test_pass_matches_oracle_loops_under_a_fault(monkeypatch, fault, lt, n):
@@ -398,7 +426,8 @@ def test_unlabelled_checks_never_build_the_weyl_group(monkeypatch, lt):
         raise AssertionError("an unlabelled check built a Weyl group")
 
     monkeypatch.setattr(signedperm, "weyl_group", refuse)
-    monkeypatch.setattr(labelled, "weyl_group", refuse)
+    monkeypatch.setattr(signedperm, "signed_windows", refuse)
+    monkeypatch.setattr(labelled, "signed_windows", refuse)
     # above REFINED_MAX_RANK, stats_identity has no labelled half
     unlabelled = [c for c in type_spec(lt).checks if c not in LABELLED_CHECKS]
     found = run_pass(lt, REFINED_MAX_RANK + 1, unlabelled)

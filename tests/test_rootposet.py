@@ -234,6 +234,7 @@ def test_reflection_windows():
     assert reflection(parse_root("e3-e1", "C"), 3).window == (3, 2, 1)
     assert reflection(parse_root("e2+e1", "D"), 3).window == (-2, -1, 3)
     assert reflection(parse_root("2e2", "C"), 3).window == (1, -2, 3)
+    assert reflection(parse_root("e3", "B"), 3).window == (1, 2, -3)
     r = parse_root("e4-e2", "B")
     w = reflection(r, 4)
     assert w.act(to_vector(r, 4)) == tuple(-c for c in to_vector(r, 4))

@@ -5,6 +5,7 @@ from zetakit.errors import NotBijective, RankMismatch
 from zetakit.signedperm import (
     SignedPermutation,
     all_signed_permutations,
+    signed_windows,
     weyl_group,
 )
 
@@ -112,3 +113,15 @@ def test_weyl_groups_share_elements():
     assert weyl_group("C", 3) is weyl_group("B", 3)
     ids = {id(w) for w in weyl_group("B", 3)}
     assert all(id(w) in ids for w in weyl_group("D", 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_signed_windows_are_the_b_group_in_order(n):
+    assert signed_windows(n) == tuple(w.window for w in weyl_group("B", n))
+    assert len(set(signed_windows(n))) == len(signed_windows(n))
+
+
+def test_signed_windows_order():
+    # the permutations in lexicographic order, each with its signs in product order
+    assert signed_windows(2) == ((1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1))
+    assert signed_windows(3)[8:10] == ((1, 3, 2), (1, 3, -2))

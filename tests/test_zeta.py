@@ -22,6 +22,7 @@ from zetakit.zeta import (
     area_vector,
     bounce_path,
     inverse_by_table,
+    inverse_zeta,
     inverse_zeta_c,
     is_valid_area_vector,
     path_of_area_vector,
@@ -253,6 +254,20 @@ def test_inverse_by_table():
     assert render_path(inverse_by_table(q, "D")) == "E-EENNNNNE"
     b = parse_path(B_EXAMPLES[0][5], ballot(12))
     assert render_path(inverse_by_table(b, "B")) == B_EXAMPLES[0][0]
+
+
+INVERSE_RANKS = (
+    [("A", n) for n in (1, 2, 3, 4)]
+    + [("B", n) for n in (2, 3, 4, 5)]
+    + [("C", n) for n in (1, 2, 3, 4, 5, 6)]
+    + [("D", n) for n in (2, 3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize("lt,n", INVERSE_RANKS)
+def test_inverse_zeta_undoes_zeta(lt, n):
+    for p in type_spec(lt).sources(n):
+        assert inverse_zeta(zeta_path(p, lt), lt) == p
 
 
 @pytest.mark.parametrize("mu,lt", [((0,), "B"), ((), "C")])
