@@ -14,10 +14,11 @@ forms, the reading-word slots and the Weyl group.
 
 Labellings are sets over the rank's group.  _Rank keeps, per positivity
 form and per sign parity, the group windows that pass as the bits of one
-int, so the labellings of a path, those whose reading word fits the
-image, and the diagonal labellings of a target are ANDs of these ints,
-counted by popcount.  A list of windows is built only where something
-reads a labelling: a counterexample, the refined stats, an image clash.
+int, read off the group's structure without listing the group.  The
+labellings of a path, those whose reading word fits the image, and the
+diagonal labellings of a target are ANDs of these ints, counted by
+popcount.  A window is unranked from its bit only where something reads
+a labelling: a counterexample, the refined stats, an image clash.
 
 On one path the reading word is the labels read at fixed signed slots,
 and a signed permutation gives distinct slots distinct values.  So the
@@ -32,14 +33,17 @@ compared with.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+from operator import mul
 
 from . import paths, stats, zeta
 from .affine import dominant_frame_parts, grassmannian_companion
-from .errors import InvalidLabelling, ZetakitError
+from .errors import InternalError, InvalidLabelling, ZetakitError
 from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned
 from .rootposet import _forms, antichain_forms, ballot_to_antichain
-from .signedperm import SignedPermutation, count_positive, signed_windows
+from .signedperm import SignedPermutation, count_positive, passes
 from .torus import VertPath, label_twist, lambda_of_path, to_torus, vertical_forms, wall_images
 from .typespec import type_spec
 from .verify import window_arithmetic
@@ -132,16 +136,15 @@ class _lazy:
         return value
 
 
-_BITS = bytes.maketrans(b"\0\1", b"01")
-
-
 class _Rank:
     """What every check at one (type, rank) shares.  A set of windows is an
-    int with bit k for windows[k]."""
+    int with bit k for window k: permutation k >> n of perms, with the signs
+    k & (2^n - 1) of signs."""
 
     # the labels of B, C and D run over the whole signed group
-    windows = _lazy(lambda r: signed_windows(r.n))
-    everything = _lazy(lambda r: (1 << len(r.windows)) - 1)
+    perms = _lazy(lambda r: list(itertools.permutations(range(1, r.n + 1))))
+    signs = _lazy(lambda r: list(itertools.product((1, -1), repeat=r.n)))
+    everything = _lazy(lambda r: (1 << (math.factorial(r.n) << r.n)) - 1)
     identity = _lazy(lambda r: SignedPermutation.identity(r.n))
 
     def __init__(self, lt: str, n: int):
@@ -149,14 +152,19 @@ class _Rank:
         self.index = {}  # form (i, a, j, b) or sign parity -> the windows that pass
 
     def _bits(self, key) -> int:
+        """The windows that pass a form or have a parity.  With |a| = |b| or
+        b = 0, a*w[i] + b*w[j] > 0 depends only on the signs and on whether
+        p[i] > p[j], so each permutation takes the run of the increasing or
+        the decreasing permutation that orders slots i and j as it does."""
         bits = self.index.get(key)
         if bits is None:
-            if isinstance(key, int):
-                flags = [sum(x < 0 for x in w) % 2 == key for w in self.windows]
-            else:
-                i, a, j, b = key
-                flags = [a * w[i] + b * w[j] > 0 for w in self.windows]
-            bits = self.index[key] = int(bytes(flags)[::-1].translate(_BITS), 2)
+            forms, parity = ((), key) if isinstance(key, int) else ((key,), None)
+            i, a, j, b = key if forms else (0, 0, 0, 0)
+            if a and b and abs(a) != abs(b):
+                raise InternalError("form %r has coefficients of different sizes" % (key,))
+            runs = {q[i] > q[j]: "".join("01"[passes(tuple(map(mul, s, q)), forms, parity)] for s in self.signs[::-1])
+                    for q in (range(1, self.n + 1), range(self.n, 0, -1))}
+            bits = self.index[key] = int("".join([runs[p[i] > p[j]] for p in reversed(self.perms)]), 2)
         return bits
 
     def select(self, forms, parity=None) -> int:
@@ -169,7 +177,8 @@ class _Rank:
 
     def listed(self, bits: int) -> list:
         """The windows in bits, in their order."""
-        return [self.windows[k] for k, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
+        at = [divmod(m.start(), 1 << self.n) for m in re.finditer("1", bin(bits)[:1:-1])]
+        return [tuple(map(mul, self.signs[s], self.perms[p])) for p, s in at]
 
 
 def _first_misfit(d: _PathData):
@@ -177,7 +186,7 @@ def _first_misfit(d: _PathData):
     if not bad:
         return None
     k = (d.mask & ((bad & -bad) - 1)).bit_count()
-    word = _word(d.read, d.labellings[k])
+    word = _word(d.read, d.r.listed(bad & -bad)[0])
     return k, InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), d.image))
 
 

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterator
 
 from .errors import NotBijective, RankMismatch, json_window
 
@@ -112,18 +111,6 @@ def count_positive(win, forms) -> int:
     return sum(1 for i, a, j, b in forms if a * win[i] + b * win[j] > 0)
 
 
-@lru_cache(maxsize=16)
-def signed_windows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The windows of every signed permutation of rank n: the permutations
-    in lexicographic order, each with its signs in itertools.product order."""
-    signs = list(itertools.product((1, -1), repeat=n))
-    return tuple(tuple(map(mul, s, p)) for p in itertools.permutations(range(1, n + 1)) for s in signs)
-
-
-def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
-    return map(SignedPermutation, signed_windows(n))
-
-
 @lru_cache(maxsize=32)
 def weyl_group(lattice_type: str, n: int) -> tuple[SignedPermutation, ...]:
     """All elements of the finite Weyl group of the given type and rank.
@@ -137,7 +124,10 @@ def weyl_group(lattice_type: str, n: int) -> tuple[SignedPermutation, ...]:
             SignedPermutation(p) for p in itertools.permutations(range(1, n + 1))
         )
     if lattice_type == "B":
-        return tuple(all_signed_permutations(n))
+        # the permutations in lexicographic order, each with its signs in product order
+        signs = list(itertools.product((1, -1), repeat=n))
+        perms = itertools.permutations(range(1, n + 1))
+        return tuple(SignedPermutation(tuple(map(mul, s, p))) for p in perms for s in signs)
     if lattice_type == "C":
         return weyl_group("B", n)
     if lattice_type == "D":

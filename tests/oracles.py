@@ -808,6 +808,17 @@ def passing(windows, forms, parity=None) -> list:
     return list(windows)
 
 
+def group_windows(n: int) -> list:
+    """The windows of the signed group of rank n, in the pass's bit order."""
+    return [w.window for w in weyl_group("B", n)]
+
+
+def passing_bits(windows, forms, parity=None) -> int:
+    """The windows that pass as an int with bit k for windows[k]."""
+    keep = set(passing(windows, forms, parity))
+    return sum(1 << k for k, w in enumerate(windows) if w in keep)
+
+
 # ---------------------------------------------------------------------------
 # the per-labelling tests of rise_valley, uniform and anderson, label
 # arithmetic on raw windows for one labelling at a time; the pass decides

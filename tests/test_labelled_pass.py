@@ -11,14 +11,14 @@ import zetakit.torus as torus
 import zetakit.verify as verify
 import zetakit.zeta as zmod
 
-from zetakit.errors import InvalidLabelling, NotRepresentative, ZetakitError
+from zetakit.errors import InternalError, InvalidLabelling, NotRepresentative, ZetakitError
 from zetakit.labelled import REFINED_MAX_RANK, run_pass
 from zetakit.paths import enumerate_paths, lattice, parse_path
 from zetakit.signedperm import SignedPermutation
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, modulus, type_spec
 from zetakit.verify import run_suite
 
-from oracles import LABELLED_ORACLES, PER_LABELLING_ORACLES, UNLABELLED_ORACLES, passing
+from oracles import LABELLED_ORACLES, PER_LABELLING_ORACLES, UNLABELLED_ORACLES, group_windows, passing, passing_bits
 
 RANKS = (
     [("A", n) for n in (1, 2, 3, 4)]
@@ -97,9 +97,10 @@ def test_per_path_verdicts_match_the_per_labelling_tests(lt):
     the reference filter lists."""
     r = labelled._Rank(lt, 5)
     checks = {name: labelled._CHECKS[name](r) for name in PER_LABELLING_ORACLES}
+    windows = group_windows(5)
     for p in r.spec.sources(5):
         d = labelled._PathData(p, r)
-        labellings = passing(r.windows, *torus.vertical_forms(p, lt))
+        labellings = passing(windows, *torus.vertical_forms(p, lt))
         assert d.count == len(labellings) > 0
         items = [(v, word, signedperm.passes(word, *d.fit)) for v, word in zip(labellings, _words(d, labellings))]
         for name, c in checks.items():
@@ -202,19 +203,71 @@ def test_labelling_sets_list_what_the_reference_filter_lists(monkeypatch, fault,
     if fault:
         fault(monkeypatch, lt, n)
     r = labelled._Rank(lt, n)
+    windows = group_windows(n)
     misfits = 0
     for p in r.spec.sources(n):
         d = labelled._PathData(p, r)
         pulled = labelled._pull(*d.fit, d.read)
         for forms in (torus.vertical_forms(p, lt), d.fit, pulled):
-            assert r.listed(r.select(*forms)) == passing(r.windows, *forms)
-        labellings = passing(r.windows, *torus.vertical_forms(p, lt))
+            assert r.listed(r.select(*forms)) == passing(windows, *forms)
+        labellings = passing(windows, *torus.vertical_forms(p, lt))
         fits = [signedperm.passes(word, *d.fit) for word in _words(d, labellings)]
         assert r.listed(d.mask & r.select(*pulled)) == [v for v, ok in zip(labellings, fits) if ok]
         first = fits.index(False) if False in fits else None
         assert (d.misfit and d.misfit[0]) == first, p
         misfits += first is not None
     assert bool(misfits) == bool(fault)
+
+
+def _form_family(n: int) -> list:
+    """Every key the form index can be asked for at rank n: two slots with
+    coefficients +-1 (one slot twice included), one slot with +-1 or +-2,
+    the degenerate 0 > 0 of test_a_check_over_no_labellings_fails, and
+    both sign parities."""
+    slots = range(n)
+    two = [(i, a, j, b) for i in slots for j in slots for a in (1, -1) for b in (1, -1)]
+    return two + [(i, a, 0, 0) for i in slots for a in (1, -1, 2, -2)] + [(0, 0, 0, 0), 0, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_form_index_is_the_reference_filter(n):
+    """_Rank._bits, read off the group's structure, against the filter over
+    weyl_group's windows, on every key of the family."""
+    r, windows = labelled._Rank("B", n), group_windows(n)
+    for key in _form_family(n):
+        forms, parity = ((), key) if isinstance(key, int) else ([key], None)
+        assert r._bits(key) == passing_bits(windows, forms, parity), key
+
+
+def test_the_pass_asks_only_for_keys_of_the_family(monkeypatch):
+    true_bits = labelled._Rank._bits
+    keys = {n: set() for n in range(1, 6)}
+
+    def recorded(r, key):
+        keys[r.n].add(key)
+        return true_bits(r, key)
+
+    monkeypatch.setattr(labelled._Rank, "_bits", recorded)
+    for lt in "BCD":
+        for n in range(type_spec(lt).min_rank, 6):
+            assert all(o is None for o, _ in run_pass(lt, n, type_spec(lt).checks).values())
+    for n, asked in keys.items():
+        assert asked and asked <= set(_form_family(n)), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_index_unranks_every_window_in_group_order(n):
+    r = labelled._Rank("B", n)
+    assert r.listed(r.everything) == group_windows(n)
+
+
+@pytest.mark.parametrize("form", [(0, 1, 1, 2), (2, -2, 0, 1)])
+def test_a_form_with_unequal_coefficients_is_refused(form):
+    # w[i] + 2*w[j] > 0 compares |w[i]| with 2*|w[j]|, which the order of
+    # the two slots does not decide; the runs would be silently wrong
+    r = labelled._Rank("C", 3)
+    with pytest.raises(InternalError):
+        r.select([form])
 
 
 def _scale_area_vector(monkeypatch, lt: str, n: int):
@@ -426,8 +479,9 @@ def test_unlabelled_checks_never_build_the_weyl_group(monkeypatch, lt):
         raise AssertionError("an unlabelled check built a Weyl group")
 
     monkeypatch.setattr(signedperm, "weyl_group", refuse)
-    monkeypatch.setattr(signedperm, "signed_windows", refuse)
-    monkeypatch.setattr(labelled, "signed_windows", refuse)
+    # the pass's own view of the group: its form index and its unranking
+    monkeypatch.setattr(labelled._Rank, "_bits", refuse)
+    monkeypatch.setattr(labelled._Rank, "listed", refuse)
     # above REFINED_MAX_RANK, stats_identity has no labelled half
     unlabelled = [c for c in type_spec(lt).checks if c not in LABELLED_CHECKS]
     found = run_pass(lt, REFINED_MAX_RANK + 1, unlabelled)

@@ -1,11 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from zetakit.errors import NotBijective, RankMismatch
 from zetakit.signedperm import (
     SignedPermutation,
-    all_signed_permutations,
-    signed_windows,
     weyl_group,
 )
 
@@ -100,7 +100,7 @@ def test_weyl_group_sizes():
     assert len(weyl_group("B", 3)) == 48
     assert len(weyl_group("D", 3)) == 24
     assert len(weyl_group("A", 4)) == 24
-    assert len(list(all_signed_permutations(2))) == 8
+    assert len(weyl_group("B", 2)) == 8
 
 
 @pytest.mark.parametrize("lt", ["A", "B", "C", "D"])
@@ -115,13 +115,27 @@ def test_weyl_groups_share_elements():
     assert all(id(w) in ids for w in weyl_group("D", 3))
 
 
+def _signed_windows_by_search(n: int) -> list:
+    """Every window of a signed permutation of rank n, found among all
+    tuples of nonzero entries, sorted as weyl_group lists them: the
+    permutations in lexicographic order, each with its signs in
+    itertools.product((1, -1)) order, + before - slot by slot."""
+    entries = [x for x in range(-n, n + 1) if x]
+    found = [w for w in itertools.product(entries, repeat=n) if sorted(map(abs, w)) == list(range(1, n + 1))]
+    return sorted(found, key=lambda w: (tuple(map(abs, w)), tuple(x < 0 for x in w)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_signed_windows_are_the_b_group_in_order(n):
-    assert signed_windows(n) == tuple(w.window for w in weyl_group("B", n))
-    assert len(set(signed_windows(n))) == len(signed_windows(n))
+def test_weyl_group_lists_the_signed_windows_in_order(n):
+    signed = _signed_windows_by_search(n)
+    assert [w.window for w in weyl_group("B", n)] == signed
+    assert [w.window for w in weyl_group("C", n)] == signed
+    assert [w.window for w in weyl_group("D", n)] == [w for w in signed if sum(x < 0 for x in w) % 2 == 0]
+    assert [w.window for w in weyl_group("A", n)] == [w for w in signed if min(w) > 0]
 
 
-def test_signed_windows_order():
+def test_weyl_group_order():
     # the permutations in lexicographic order, each with its signs in product order
-    assert signed_windows(2) == ((1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1))
-    assert signed_windows(3)[8:10] == ((1, 3, 2), (1, 3, -2))
+    b2 = [(1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1)]
+    assert [w.window for w in weyl_group("B", 2)] == b2
+    assert [w.window for w in weyl_group("B", 3)][8:10] == [(1, 3, 2), (1, 3, -2)]
