@@ -142,8 +142,8 @@ def main(argv=None) -> int:
     if args.command == "zeta":
         if args.sweep and args.type != "C":
             parser.error("--sweep is only defined for --type C")
-        if args.inverse and args.labels:
-            parser.error("--inverse does not take --labels")
+        if args.inverse and (args.labels is not None or args.sweep):
+            parser.error("--inverse takes neither --labels nor --sweep")
     try:
         return args.func(args)
     except CapExceeded as exc:

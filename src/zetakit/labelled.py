@@ -14,11 +14,10 @@ forms, the reading-word slots and the Weyl group.
 
 Labellings are sets over the rank's group.  _Rank keeps, per positivity
 form and per sign parity, the group windows that pass as the bits of one
-int, read off the group's structure without listing the group.  The
-labellings of a path, those whose reading word fits the image, and the
-diagonal labellings of a target are ANDs of these ints, counted by
-popcount.  A window is unranked from its bit only where something reads
-a labelling: a counterexample, the refined stats, an image clash.
+int, read off the group's structure without listing the group.  Every
+labelled check decides a path on ANDs, ORs and bit-sliced counts of these
+ints; its first counterexample is the lowest bit of a set, and only the
+labelling that a message prints is unranked from its bit.
 
 On one path the reading word is the labels read at fixed signed slots,
 and a signed permutation gives distinct slots distinct values.  So the
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from operator import mul
 
 from . import paths, stats, zeta
@@ -43,7 +41,7 @@ from .affine import dominant_frame_parts, grassmannian_companion
 from .errors import InternalError, InvalidLabelling, ZetakitError
 from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned
 from .rootposet import _forms, antichain_forms, ballot_to_antichain
-from .signedperm import SignedPermutation, count_positive, passes
+from .signedperm import SignedPermutation, passes
 from .torus import VertPath, label_twist, lambda_of_path, to_torus, vertical_forms, wall_images
 from .typespec import type_spec
 from .verify import window_arithmetic
@@ -66,16 +64,10 @@ def _text(win) -> str:
     return "[%s]" % ",".join(map(str, win))
 
 
-def _word(read, v) -> tuple:
-    """The reading word of the labels v on a path with slots read."""
-    ext = _signed(v)
-    return tuple([ext[k] for k in read])
-
-
 def _pull(forms, parity, read):
-    """The forms and parity the labels v pass iff _word(read, v) passes
-    forms and parity: slot i of the word is label |read[i]| times the sign
-    of read[i]."""
+    """The forms and parity the labels v pass iff their reading word on a
+    path with slots read passes forms and parity: slot i of the word is
+    label |read[i]| times the sign of read[i]."""
     at = [(abs(k) - 1, 1 if k > 0 else -1) for k in read]
     pulled = [(at[i][0], a * at[i][1], at[j][0] if b else 0, b * at[j][1]) for i, a, j, b in forms]
     return pulled, None if parity is None else (parity + sum(k < 0 for k in read)) % 2
@@ -175,19 +167,33 @@ class _Rank:
             bits &= self._bits(form)
         return bits
 
-    def listed(self, bits: int) -> list:
-        """The windows in bits, in their order."""
-        at = [divmod(m.start(), 1 << self.n) for m in re.finditer("1", bin(bits)[:1:-1])]
-        return [tuple(map(mul, self.signs[s], self.perms[p])) for p, s in at]
+    def tally(self, forms) -> list:
+        """The number of forms each window passes, bit-sliced: window k
+        passes sum(((digits[i] >> k) & 1) << i) of them."""
+        digits = []
+        for form in forms:
+            carry = self._bits(form)
+            for i, digit in enumerate(digits):
+                digits[i], carry = digit ^ carry, digit & carry
+            if carry:
+                digits.append(carry)
+        return digits
+
+    def window(self, bit: int) -> tuple:
+        """The window of a set with one bit."""
+        p, s = divmod(bit.bit_length() - 1, 1 << self.n)
+        return tuple(map(mul, self.signs[s], self.perms[p]))
 
 
-def _first_misfit(d: _PathData):
-    bad = d.mask and d.mask & ~d.r.select(*_pull(*d.fit, d.read))
-    if not bad:
-        return None
-    k = (d.mask & ((bad & -bad) - 1)).bit_count()
-    word = _word(d.read, d.r.listed(bad & -bad)[0])
-    return k, InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), d.image))
+def _first(d: _PathData, bad: int, outcome, miss=None):
+    """The first labelling in bad or in d.misfits, as (bit, outcome), or
+    None.  A misfit, in bad or not, reports miss or, without it, what
+    to_parking_function and area_prime raise."""
+    first = (bad | d.misfits) & -(bad | d.misfits)
+    if first & d.misfits and not miss:
+        v = _signed(d.r.window(first))
+        miss = InvalidLabelling("labels %s do not fit the valleys of %s" % (_text([v[k] for k in d.read]), d.image))
+    return (first, miss if first & d.misfits else outcome) if first else None
 
 
 class _PathData:
@@ -196,10 +202,10 @@ class _PathData:
 
     image = _lazy(lambda d: zeta.zeta_path(d.path, d.lt))
     lam = _lazy(lambda d: lambda_of_path(d.path, d.lt))
-    # the vertical labellings as a set, their number and their list
-    mask = _lazy(lambda d: d.r.select(*vertical_forms(d.path, d.lt)))
+    # the vertical labellings, as forms and as a set, and their number
+    vertical = _lazy(lambda d: vertical_forms(d.path, d.lt))
+    mask = _lazy(lambda d: d.r.select(*d.vertical))
     count = _lazy(lambda d: d.mask.bit_count())
-    labellings = _lazy(lambda d: d.r.listed(d.mask))
     antichain = _lazy(lambda d: ballot_to_antichain(d.image, d.lt))
     # the forms and parity a word must pass to label the image diagonally
     fit = _lazy(lambda d: _forms(d.antichain, d.lt))
@@ -209,11 +215,8 @@ class _PathData:
     twist = _lazy(lambda d: label_twist(d.vp, d.lt).window)
     mu = _lazy(lambda d: zeta.area_vector(d.path, d.lt))
     sigma = _lazy(lambda d: grassmannian_companion(d.mu, d.lt))
-    # the first labelling whose word does not label the image diagonally, as
-    # (position, what to_parking_function and area_prime raise), or None,
-    # and the labellings before it
-    misfit = _lazy(_first_misfit)
-    fitting = _lazy(lambda d: d.labellings if d.misfit is None else d.labellings[: d.misfit[0]])
+    # the labellings whose word does not label the image diagonally
+    misfits = _lazy(lambda d: d.mask and d.mask & ~d.r.select(*_pull(*d.fit, d.read)))
 
     def __init__(self, p: Path, r: _Rank):
         self.path, self.lt, self.r = p, r.lt, r
@@ -223,11 +226,11 @@ class _Check:
     """One check's outcome (None, the first counterexample, or the
     ZetakitError it raised) and the objects it examined.  Its hooks:
     source(d), the per-path test, gives a counterexample or None; labels(d)
-    gives the first counterexample among the path's labellings as
-    (position, outcome), where the outcome is a "... %s | %s" template for
-    (path, labels) or the exception to raise, or None; target(q) is the
-    per-target test; finish() gives the outcome after both phases; parts()
-    lists what the pass runs for the check."""
+    gives the first counterexample among the path's labellings as (bit,
+    outcome), where bit is the set of that one labelling and the outcome is
+    a "... %s | %s" template for (path, labels) or the exception to raise,
+    or None; target(q) is the per-target test; finish() gives the outcome
+    after both phases; parts() lists what the pass runs for the check."""
 
     source = labels = target = finish = None
 
@@ -348,13 +351,13 @@ class _StatsIdentity(_Check):
 
 class _RefinedStats(_Check):
     def labels(self, d: _PathData):
-        dinv = stats.dinv_c_prime_forms(d.path)
-        # area' of the word, as forms on the labels, up to the first misfit
-        ideal, _ = _pull(stats.area_prime_forms(d.image, "C"), None, d.read)
-        for k, v in enumerate(d.fitting):
-            if count_positive(v, dinv) != count_positive(v, ideal):
-                return k, "refined dinv/area differ at %s | %s"
-        return d.misfit
+        dinv = self.r.tally(stats.dinv_c_prime_forms(d.path))
+        # area' of the word, as forms on the labels
+        ideal = self.r.tally(_pull(stats.area_prime_forms(d.image, "C"), None, d.read)[0])
+        differ = 0
+        for a, b in itertools.zip_longest(dinv, ideal, fillvalue=0):
+            differ |= a ^ b
+        return _first(d, d.mask & differ, "refined dinv/area differ at %s | %s")
 
 
 class _LabelledBijectivity(_Check):
@@ -364,24 +367,22 @@ class _LabelledBijectivity(_Check):
     def __init__(self, r: _Rank):
         super().__init__(r)
         self.fits = {}  # image key -> its antichain forms
-        self.sources = {}  # image key -> (path, reading-word slots) of each source path with it
+        self.sources = {}  # image key -> each earlier path's vertical forms, pulled through read^-1
         self.expected = r.spec.modulus(r.n) ** r.n
         self.diagonal = 0
 
     def labels(self, d: _PathData):
-        # the words of one path are distinct, so two labelled paths can
-        # share a word only if their paths share an image
+        # the words of one path are distinct, so two labelled paths share a
+        # word only if their paths share an image: v*read = v'*read' for
+        # labels v' of an earlier path iff v' = v*read*read'^-1
         key = render_path(d.image)
         self.fits[key] = d.fit
         earlier = self.sources.setdefault(key, [])
-        if earlier:
-            r = self.r
-            words = {_word(read, v) for p, read in earlier for v in r.listed(r.select(*vertical_forms(p, r.lt)))}
-            for k, v in enumerate(d.fitting):
-                if _word(d.read, v) in words:
-                    return k, "labelled duplicate at %s | %s"
-        earlier.append((d.path, d.read))
-        return d.misfit and (d.misfit[0], "image of %s | %s is not diagonally labelled")
+        clash = 0
+        for forms in earlier:
+            clash |= self.r.select(*_pull(*forms, d.read))
+        earlier.append(_pull(*d.vertical, SignedPermutation(d.read).inverse().window))
+        return _first(d, d.mask & clash, "labelled duplicate at %s | %s", "image of %s | %s is not diagonally labelled")
 
     def target(self, q):
         if self.examined == self.expected:  # else finish reports the domain size
@@ -403,7 +404,7 @@ class _RiseValley(_Check):
         rise = sorted(_token(*t) for t in _rise_template(d.path, d.lt))
         read = _signed(d.read)
         valley = sorted(_token(a, read[k1], read[k2]) for a, k1, k2 in _valley_template(d.antichain))
-        return None if rise == valley else (0, "label multisets differ at %s | %s")
+        return None if rise == valley else (d.mask & -d.mask, "label multisets differ at %s | %s")
 
 
 class _Uniform(_Check):
@@ -416,8 +417,7 @@ class _Uniform(_Check):
         twist = _signed(d.twist)
         same = wall_images(ts, d.lam, d.lt) == d.antichain and tuple([twist[t] for t in ts.window]) == d.read
         # a labelling that does not fit fails to_parking_function first
-        miss = d.misfit
-        return miss if same or (miss and miss[0] == 0) else (0, "parking functions differ at %s | %s")
+        return _first(d, 0 if same else d.mask, "parking functions differ at %s | %s")
 
 
 class _Anderson(_Check):
@@ -426,7 +426,7 @@ class _Anderson(_Check):
         # alike, so the identity labelling decides the whole path
         data = window_arithmetic(SignedPermutation(d.read), d.mu, d.sigma, d.lt)
         same = data["vector"] == to_torus(d.vp, d.lt).coords and data["orbit_rep"] == d.lam
-        return None if same else (0, "window arithmetic fails at %s | %s")
+        return None if same else (d.mask & -d.mask, "window arithmetic fails at %s | %s")
 
 
 # every check, by name
@@ -484,10 +484,10 @@ def _settle(c: _Check, hook, *args) -> None:
 
 def _count_labellings(c: _Check, d: _PathData, hit) -> None:
     """c examined the path's labellings up to its first counterexample hit,
-    (position, outcome), or all of them if there is none."""
-    if hit is None or hit[0] >= d.count:
+    (bit, outcome), or all of them if there is none."""
+    if not (hit and hit[0]):
         c.examined += d.count
         return
-    k, bad = hit
-    c.examined += k + 1
-    c.outcome = bad if isinstance(bad, Exception) else bad % (d.path, _text(d.labellings[k]))
+    bit, bad = hit
+    c.examined += (d.mask & (bit - 1)).bit_count() + 1
+    c.outcome = bad if isinstance(bad, Exception) else bad % (d.path, _text(d.r.window(bit)))

@@ -796,7 +796,8 @@ LABELLED_ORACLES = {
 
 # ---------------------------------------------------------------------------
 # the labellings as lists: the pass keeps them as sets of group windows
-# (labelled._Rank.select) and must list the same windows in the same order
+# (labelled._Rank.select), bit k for window k of group_windows, and must
+# hold the same windows
 
 
 def passing(windows, forms, parity=None) -> list:

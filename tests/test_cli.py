@@ -95,6 +95,12 @@ def test_inverse_flag_combinations(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zeta", "--type", "D", "--path", "E-EENNNNNE", "--sweep"])
     assert exc.value.code == 2
+    # the inverse prints no reading word or sweep trace, so both flags are
+    # refused, not dropped, empty labels included
+    for extra in (["--sweep"], ["--labels", ""]):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "--type", "C", "--path", "NNENENNENENE", "--inverse", *extra])
+        assert exc.value.code == 2
 
 
 def test_verify_exit_codes(capsys):

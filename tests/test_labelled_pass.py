@@ -7,6 +7,7 @@ import pytest
 import zetakit.labelled as labelled
 import zetakit.paths as paths
 import zetakit.signedperm as signedperm
+import zetakit.stats as stats
 import zetakit.torus as torus
 import zetakit.verify as verify
 import zetakit.zeta as zmod
@@ -14,7 +15,8 @@ import zetakit.zeta as zmod
 from zetakit.errors import InternalError, InvalidLabelling, NotRepresentative, ZetakitError
 from zetakit.labelled import REFINED_MAX_RANK, run_pass
 from zetakit.paths import enumerate_paths, lattice, parse_path
-from zetakit.signedperm import SignedPermutation
+from zetakit.signedperm import SignedPermutation, count_positive
+from zetakit.stats import area_prime_forms, dinv_c_prime_forms
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, modulus, type_spec
 from zetakit.verify import run_suite
 
@@ -92,9 +94,9 @@ def _words(d, labellings) -> list:
 @pytest.mark.parametrize("lt", "BCD")
 def test_per_path_verdicts_match_the_per_labelling_tests(lt):
     """At rank 5, one above RANKS: on every path, rise_valley, uniform and
-    anderson give the first (position, outcome) that their label
-    arithmetic on the raw windows gives, run in order on every labelling
-    the reference filter lists."""
+    anderson give, as its bit, the first (position, outcome) that their
+    label arithmetic on the raw windows gives, run in order on every
+    labelling the reference filter lists."""
     r = labelled._Rank(lt, 5)
     checks = {name: labelled._CHECKS[name](r) for name in PER_LABELLING_ORACLES}
     windows = group_windows(5)
@@ -107,7 +109,7 @@ def test_per_path_verdicts_match_the_per_labelling_tests(lt):
             oracle = PER_LABELLING_ORACLES[name](d)
             first = next(((k, _shown(bad)) for k, bad in enumerate(map(oracle, items)) if bad is not None), None)
             hit = c.labels(d)
-            assert (hit and (hit[0], _shown(hit[1]))) == first, (p, name)
+            assert (hit and ((d.mask & (hit[0] - 1)).bit_count(), _shown(hit[1]))) == first, (p, name)
 
 
 def test_verify_dispatches_every_labelled_check_to_the_pass():
@@ -197,25 +199,24 @@ SELECT_RANKS = [("B", n) for n in (2, 3, 4, 5)] + [("C", n) for n in (1, 2, 3, 4
 def test_labelling_sets_list_what_the_reference_filter_lists(monkeypatch, fault, lt, n):
     """_Rank.select against the reference filter, on every source path's
     vertical forms and on its image's forms, as given and pulled back
-    through the reading-word slots; the first misfit is the first labelling
-    whose word fails the image's forms.  Under a reading-word fault, words
-    do not fit, so the misfit positions are tested too."""
+    through the reading-word slots; the misfits are the labellings whose
+    word fails the image's forms.  Under a reading-word fault, words do not
+    fit, so the misfit sets are tested too."""
     if fault:
         fault(monkeypatch, lt, n)
     r = labelled._Rank(lt, n)
     windows = group_windows(n)
+    bit = {w: 1 << k for k, w in enumerate(windows)}
     misfits = 0
     for p in r.spec.sources(n):
         d = labelled._PathData(p, r)
         pulled = labelled._pull(*d.fit, d.read)
         for forms in (torus.vertical_forms(p, lt), d.fit, pulled):
-            assert r.listed(r.select(*forms)) == passing(windows, *forms)
+            assert r.select(*forms) == passing_bits(windows, *forms)
         labellings = passing(windows, *torus.vertical_forms(p, lt))
         fits = [signedperm.passes(word, *d.fit) for word in _words(d, labellings)]
-        assert r.listed(d.mask & r.select(*pulled)) == [v for v, ok in zip(labellings, fits) if ok]
-        first = fits.index(False) if False in fits else None
-        assert (d.misfit and d.misfit[0]) == first, p
-        misfits += first is not None
+        assert d.misfits == sum(bit[v] for v, ok in zip(labellings, fits) if not ok), p
+        misfits += bool(d.misfits)
     assert bool(misfits) == bool(fault)
 
 
@@ -257,8 +258,24 @@ def test_the_pass_asks_only_for_keys_of_the_family(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_the_index_unranks_every_window_in_group_order(n):
-    r = labelled._Rank("B", n)
-    assert r.listed(r.everything) == group_windows(n)
+    r, windows = labelled._Rank("B", n), group_windows(n)
+    assert r.everything == (1 << len(windows)) - 1
+    assert [r.window(1 << k) for k in range(len(windows))] == windows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_tally_counts_the_forms_each_window_passes(n):
+    """_Rank.tally against count_positive on every window, with the forms
+    of the refined stats: each C source path's dinv' forms and its image's
+    area' forms pulled back through the reading-word slots."""
+    r, windows = labelled._Rank("C", n), group_windows(n)
+    for p in r.spec.sources(n):
+        d = labelled._PathData(p, r)
+        pulled, _ = labelled._pull(area_prime_forms(d.image, "C"), None, d.read)
+        for forms in (dinv_c_prime_forms(p), pulled):
+            digits = r.tally(forms)
+            counts = [sum(((digit >> k) & 1) << i for i, digit in enumerate(digits)) for k in range(len(windows))]
+            assert counts == [count_positive(w, forms) for w in windows], (p, forms)
 
 
 @pytest.mark.parametrize("form", [(0, 1, 1, 2), (2, -2, 0, 1)])
@@ -331,6 +348,51 @@ def test_a_labelled_counterexample_ends_the_count_where_it_stands(monkeypatch, l
                     assert [examined] == at, (fault.__name__, name, outcome)
                     compared += 1
     assert compared >= len(FAULTS)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("lt", ["B", "C", "D"])
+def test_a_counterexample_unranks_at_most_two_windows(monkeypatch, fault, lt):
+    """A failing labelled check unranks the word of a misfit and the labels
+    it prints, not the path's labellings; a passing one unranks none.  At
+    rank 5, and for the refined stats at REFINED_MAX_RANK."""
+    true_window, calls = labelled._Rank.window, []
+
+    def counted(r, bit):
+        calls.append(bit)
+        return true_window(r, bit)
+
+    monkeypatch.setattr(labelled._Rank, "window", counted)
+    runs = [(name, 5) for name in LABELLED_CHECKS]
+    runs += [("stats_identity", REFINED_MAX_RANK)] if "stats_identity" in type_spec(lt).checks else []
+    failed = 0
+    for name, n in runs:
+        calls.clear()
+        with monkeypatch.context() as m:
+            fault(m, lt, n)
+            (outcome, _), = run_pass(lt, n, [name]).values()
+        assert len(calls) <= (0 if outcome is None else 2), (name, n)
+        failed += outcome is not None
+    assert failed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_refined_fault_gives_the_oracle_counterexample(monkeypatch, n):
+    """A fault only the refined stats see: the first dinv' form of every
+    path changes sign, which keeps dinv and moves dinv' on some labellings.
+    The refined half counts the labellings of torus.enumerate_vert up to
+    the one it prints, after every source path."""
+    true_forms = stats.dinv_c_prime_forms
+
+    def flipped(p):
+        forms = true_forms(p)
+        return [(i, -a, j, -b) for i, a, j, b in forms[:1]] + forms[1:]
+
+    monkeypatch.setattr(stats, "dinv_c_prime_forms", flipped)
+    outcome, examined = _assert_same("C", n)["stats_identity"]
+    assert outcome.startswith("refined dinv/area differ at ")
+    shown = [k for k, vp in enumerate(torus.enumerate_vert("C", n), 1) if outcome.endswith(" %s | %s" % (vp.path, vp.labels))]
+    assert shown == [examined - sum(1 for _ in type_spec("C").sources(n))]
 
 
 def test_a_path_data_fault_is_not_overwritten_by_a_count(monkeypatch):
@@ -479,9 +541,9 @@ def test_unlabelled_checks_never_build_the_weyl_group(monkeypatch, lt):
         raise AssertionError("an unlabelled check built a Weyl group")
 
     monkeypatch.setattr(signedperm, "weyl_group", refuse)
-    # the pass's own view of the group: its form index and its unranking
-    monkeypatch.setattr(labelled._Rank, "_bits", refuse)
-    monkeypatch.setattr(labelled._Rank, "listed", refuse)
+    # the pass's own view of the group: its form index, its tally and its unranking
+    for name in ("_bits", "tally", "window"):
+        monkeypatch.setattr(labelled._Rank, name, refuse)
     # above REFINED_MAX_RANK, stats_identity has no labelled half
     unlabelled = [c for c in type_spec(lt).checks if c not in LABELLED_CHECKS]
     found = run_pass(lt, REFINED_MAX_RANK + 1, unlabelled)
