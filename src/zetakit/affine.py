@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import LatticeViolation, NotBijective, RankMismatch, json_choice, json_int, json_ints, json_window
+from .errors import LatticeViolation, NotBijective, RankMismatch, Unsupported, json_choice, json_int, json_ints, json_window
 from .signedperm import SignedPermutation
 from .typespec import TORUS_TYPES, type_spec
 
@@ -56,18 +56,29 @@ class AffinePermutation:
     __mul__ = compose
 
     def inverse(self) -> "AffinePermutation":
-        sp = decompose(self)
+        """For w(i) = v with residue r, the inverse sends r to i - v + r and
+        -r to v - r - i."""
         K = self.period
-        sigma_inv = sp.sigma.inverse()
-        win = tuple(sigma_inv(i) + sp.mu[i - 1] * K for i in range(1, self.n + 1))
-        return AffinePermutation(win)
+        win = [0] * self.n
+        for i, v in enumerate(self.window, start=1):
+            r = _residue(v, K)
+            win[abs(r) - 1] = i - v + r if r > 0 else v - r - i
+        return AffinePermutation(tuple(win))
 
     def act(self, x) -> tuple[int, ...]:
-        """Action on the coroot lattice: split as translation * finite part,
-        apply the finite part, then translate."""
-        sp = decompose(self)
-        y = sp.sigma.act(x)
-        return tuple(a + b for a, b in zip(y, sp.mu))
+        """Action on the coroot lattice, translation * finite part read off
+        the window: for w(i) = v with residue r, x[i] - (v - r)/K lands in
+        slot |r| with the sign of r."""
+        x = tuple(x)
+        if len(x) != self.n:
+            raise RankMismatch("vector length %d vs rank %d" % (len(x), self.n))
+        K = self.period
+        out = [0] * self.n
+        for xi, v in zip(x, self.window):
+            r = _residue(v, K)
+            y = xi - (v - r) // K
+            out[abs(r) - 1] = y if r > 0 else -y
+        return tuple(out)
 
     def window_text(self) -> str:
         return "[%s]" % ",".join(map(str, self.window))
@@ -154,7 +165,7 @@ def is_grassmannian(w: AffinePermutation, lattice_type: str) -> bool:
             and abs(win[0]) < win[1]
             and all(win[i] < win[i + 1] for i in range(1, len(win) - 1))
         ) if len(win) >= 2 else win[0] != 0
-    raise ValueError("unknown type %r" % lattice_type)
+    raise Unsupported("unknown type %r" % lattice_type)
 
 
 def grassmannian_companion(mu, lattice_type: str) -> SignedPermutation:
@@ -165,6 +176,8 @@ def grassmannian_companion(mu, lattice_type: str) -> SignedPermutation:
     mu, with the type-D exception in the lowest slot where the parity of
     the number of positive entries decides.
     """
+    if lattice_type not in TORUS_TYPES:
+        raise Unsupported("unknown type %r" % lattice_type)
     mu = tuple(mu)
     n = len(mu)
     K = 2 * n + 1
@@ -200,7 +213,7 @@ def in_group(w: AffinePermutation, lattice_type: str) -> bool:
     if lattice_type == "C":
         return True
     if lattice_type not in ("B", "D"):
-        raise ValueError("unknown type %r" % lattice_type)
+        raise Unsupported("unknown type %r" % lattice_type)
     n, K = w.n, w.period
     first = second = 0
     for b in w.window:
@@ -235,7 +248,7 @@ def dominant_frame_parts(lattice_type: str, n: int):
             win = list(range(1, n)) + [-n]
             twist = SignedPermutation(tuple(win))
     else:
-        raise ValueError("unknown type %r" % lattice_type)
+        raise Unsupported("unknown type %r" % lattice_type)
     return shift, twist
 
 

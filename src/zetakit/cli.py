@@ -23,6 +23,7 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
     ShapeViolation,
+    Unsupported,
 )
 from .paths import parse_path, path_to_json, render_path
 from .signedperm import SignedPermutation
@@ -80,7 +81,7 @@ def _cmd_table(args) -> int:
     }[lt]
     bad = [s for s in wanted if s not in allowed]
     if bad:
-        raise ValueError("statistics %s not available in type %s" % (", ".join(bad), lt))
+        raise Unsupported("statistics %s not available in type %s" % (", ".join(bad), lt))
     spec = type_spec(lt)
     rows = []
     if args.n != 0:  # rank 0 writes the header alone

@@ -51,6 +51,10 @@ class TypeMismatch(ZetakitError):
     """Roots of different types were mixed in one computation."""
 
 
+class Unsupported(ZetakitError, ValueError):
+    """A type, or a request, that the library has no model for."""
+
+
 class InternalError(ZetakitError):
     """An invariant that should be unreachable was violated."""
 

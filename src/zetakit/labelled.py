@@ -9,8 +9,8 @@ labellings, in the order of torus.enumerate_vert.  The target phase
 enumerates the target paths once, if a check reads them, and a finish
 step settles each check's counts.  Each check keeps its own first
 counterexample.  A run of unlabelled checks never computes what only the
-labelled ones read: lambda, the labellings, the image's antichain and its
-forms, the reading-word slots and the Weyl group.
+labelled ones read: the labellings, the image's antichain and its forms,
+the reading-word slots, the group-side oracles and the Weyl group.
 
 Labellings are sets over the rank's group.  _Rank keeps, per positivity
 form and per sign parity, the group windows that pass as the bits of one
@@ -24,10 +24,9 @@ and a signed permutation gives distinct slots distinct values.  So the
 image's forms pull back through the slots to forms on the labels; the
 words of one path are distinct; and uniform, anderson and rise_valley
 each hold for every labelling of the path or for none, and decide their
-identity once per path, on the slots.  uniform reads uniform_oracle's
-formula on the slots; anderson runs verify's window arithmetic at the
-identity labelling.  Neither reads its group side off the image it is
-compared with.
+identity once per path.  uniform and anderson run verify.uniform_oracle
+and verify.anderson_check at the identity labelling, so neither reads its
+group side off the image it is compared with.
 """
 
 from __future__ import annotations
@@ -36,15 +35,13 @@ import itertools
 import math
 from operator import mul
 
-from . import paths, stats, zeta
-from .affine import dominant_frame_parts, grassmannian_companion
+from . import paths, stats, verify, zeta
 from .errors import InternalError, InvalidLabelling, ZetakitError
 from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned
-from .rootposet import _forms, antichain_forms, ballot_to_antichain
+from .rootposet import ParkingFunction, _forms, antichain_forms, ballot_to_antichain
 from .signedperm import SignedPermutation, passes
-from .torus import VertPath, label_twist, lambda_of_path, to_torus, vertical_forms, wall_images
+from .torus import VertPath, vertical_forms
 from .typespec import type_spec
-from .verify import window_arithmetic
 
 # the rank up to which stats_identity also checks dinv' = area' o zeta on labelled paths
 REFINED_MAX_RANK = 4
@@ -201,7 +198,6 @@ class _PathData:
     once, when a check first reads it."""
 
     image = _lazy(lambda d: zeta.zeta_path(d.path, d.lt))
-    lam = _lazy(lambda d: lambda_of_path(d.path, d.lt))
     # the vertical labellings, as forms and as a set, and their number
     vertical = _lazy(lambda d: vertical_forms(d.path, d.lt))
     mask = _lazy(lambda d: d.r.select(*d.vertical))
@@ -209,12 +205,9 @@ class _PathData:
     antichain = _lazy(lambda d: ballot_to_antichain(d.image, d.lt))
     # the forms and parity a word must pass to label the image diagonally
     fit = _lazy(lambda d: _forms(d.antichain, d.lt))
-    # the identity labelling, and the slots of its reading word and label twist
+    # the identity labelling, and the slots of its reading word
     vp = _lazy(lambda d: VertPath(d.path, d.r.identity))
     read = _lazy(lambda d: zeta.reading_word(d.vp, d.lt).window)
-    twist = _lazy(lambda d: label_twist(d.vp, d.lt).window)
-    mu = _lazy(lambda d: zeta.area_vector(d.path, d.lt))
-    sigma = _lazy(lambda d: grassmannian_companion(d.mu, d.lt))
     # the labellings whose word does not label the image diagonally
     misfits = _lazy(lambda d: d.mask and d.mask & ~d.r.select(*_pull(*d.fit, d.read)))
 
@@ -409,13 +402,9 @@ class _RiseValley(_Check):
 
 class _Uniform(_Check):
     def labels(self, d: _PathData):
-        # group side: u*(tau*sigma) for the twisted labels u, against the
-        # roots (tau*sigma)^-1 sends the walls through lam to.  u reads the
-        # labels at the slots twist, so u*(tau*sigma) is the word for every
-        # labelling iff twist*(tau*sigma) reads the slots read
-        ts = dominant_frame_parts(d.lt, self.r.n)[1].compose(d.sigma)
-        twist = _signed(d.twist)
-        same = wall_images(ts, d.lam, d.lt) == d.antichain and tuple([twist[t] for t in ts.window]) == d.read
+        # the oracle's word reads the labels at fixed slots, as the reading
+        # word does, so the identity labelling decides the whole path
+        same = verify.uniform_oracle(d.vp, d.lt) == ParkingFunction(SignedPermutation(d.read), d.antichain)
         # a labelling that does not fit fails to_parking_function first
         return _first(d, 0 if same else d.mask, "parking functions differ at %s | %s")
 
@@ -424,9 +413,7 @@ class _Anderson(_Check):
     def labels(self, d: _PathData):
         # a labelling moves and signs the entries of both torus vectors
         # alike, so the identity labelling decides the whole path
-        data = window_arithmetic(SignedPermutation(d.read), d.mu, d.sigma, d.lt)
-        same = data["vector"] == to_torus(d.vp, d.lt).coords and data["orbit_rep"] == d.lam
-        return None if same else (d.mask & -d.mask, "window arithmetic fails at %s | %s")
+        return None if verify.anderson_check(d.vp, d.lt) else (d.mask & -d.mask, "window arithmetic fails at %s | %s")
 
 
 # every check, by name

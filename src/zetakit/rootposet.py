@@ -16,6 +16,7 @@ from .errors import (
     NotAntichain,
     RankMismatch,
     TypeMismatch,
+    Unsupported,
 )
 from .paths import E, N, Path, ballot, lift_signed, make_path, sign_of, valleys
 from .signedperm import SignedPermutation, passes
@@ -165,7 +166,7 @@ def _upsets(lattice_type: str, n: int) -> dict:
 
 def _poset_spec(lattice_type: str):
     if lattice_type not in _KINDS:
-        raise ValueError("type %r has no root poset here" % (lattice_type,))
+        raise Unsupported("type %r has no root poset here" % (lattice_type,))
     return type_spec(lattice_type)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .errors import NotBijective, RankMismatch, json_window
+from .errors import NotBijective, RankMismatch, Unsupported, json_window
 
 
 @dataclass(frozen=True)
@@ -132,4 +132,4 @@ def weyl_group(lattice_type: str, n: int) -> tuple[SignedPermutation, ...]:
         return weyl_group("B", n)
     if lattice_type == "D":
         return tuple(w for w in weyl_group("B", n) if w.is_even())
-    raise ValueError("unknown type %r" % lattice_type)
+    raise Unsupported("unknown type %r" % lattice_type)

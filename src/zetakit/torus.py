@@ -19,7 +19,7 @@ from . import paths
 from .affine import _residue
 from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_choice, json_ints
 from .paths import Path, east_counts, path_of_east_counts, rises, sign_of
-from .rootposet import highest_root_vector, reflection_from_vector, root_from_vector, simple_root_vectors
+from .rootposet import highest_root_vector, root_from_vector, simple_root_vectors
 from .signedperm import SignedPermutation, passes, weyl_group
 from .typespec import TORUS_TYPES, min_rank, modulus, type_spec  # noqa: F401  (min_rank is re-exported)
 
@@ -271,19 +271,3 @@ def canonicalize(t: TorusElement) -> tuple[tuple[int, ...], SignedPermutation]:
         # the group is even: move the odd sign onto the first coordinate
         lam[0], win[0] = -lam[0], -win[0]
     return tuple(lam), SignedPermutation(tuple(win))
-
-
-def stabilizer(lam, lattice_type: str) -> tuple[SignedPermutation, ...]:
-    """Subgroup generated by the reflections through the wall roots."""
-    n = len(tuple(lam))
-    gens = [reflection_from_vector(vec, n) for vec in wall_roots(lam, lattice_type)]
-    seen = {SignedPermutation.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        g = frontier.pop()
-        for s in gens:
-            h = g.compose(s)
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return tuple(sorted(seen, key=lambda w: w.window))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import paths
-from .errors import RankMismatch, ShapeMismatch
+from .errors import RankMismatch, ShapeMismatch, Unsupported
 from .paths import Path, PathKind, is_dyck
 
 # every check, in report order
@@ -106,7 +106,7 @@ class TypeSpec:
 
     def modulus(self, n: int) -> int:
         if self.modulus_shift is None:
-            raise ValueError("no torus modulus for type %r" % self.name)
+            raise Unsupported("no torus modulus for type %r" % self.name)
         return 2 * n + self.modulus_shift
 
 
@@ -129,7 +129,7 @@ def type_spec(lattice_type: str) -> TypeSpec:
     try:
         return TYPES[lattice_type]
     except KeyError:
-        raise ValueError("unknown type %r" % (lattice_type,)) from None
+        raise Unsupported("unknown type %r" % (lattice_type,)) from None
 
 
 def modulus(lattice_type: str, n: int) -> int:

@@ -5,9 +5,9 @@ and reports the first counterexample in enumeration order, so reports are
 byte-identical across runs.  The uniform and window-arithmetic checks tie
 the combinatorial maps to the group-theoretic construction and serve as an
 independent oracle for them.  All the checks of a rank share one pass
-(labelled.run_pass); uniform_oracle and anderson_check are the same
-oracles for a single labelled path, and the pass runs window_arithmetic,
-the arithmetic behind anderson_check, at the identity labelling.
+(labelled.run_pass); uniform_oracle and anderson_check are these oracles
+for a single labelled path, and the pass runs both at the identity
+labelling of each source path.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .affine import (
     grassmannian_companion,
     translation,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, Unsupported
 from .paths import count_paths, enumeration_cap
 from .rootposet import ParkingFunction
-from .signedperm import SignedPermutation
-from .torus import VertPath, label_twist, lambda_of_path, to_torus, wall_images
+from .torus import VertPath, _twisted, lambda_of_path, to_torus, wall_images
 from .typespec import LABELLED_CHECKS, TypeSpec, modulus, type_spec
 
 
@@ -40,21 +39,18 @@ def uniform_oracle(vp: VertPath, lattice_type: str) -> ParkingFunction:
     sigma = grassmannian_companion(zeta.area_vector(vp.path, lattice_type), lattice_type)
     _, tau = dominant_frame_parts(lattice_type, len(lam))
     ts = tau.compose(sigma)
-    return ParkingFunction(label_twist(vp, lattice_type).compose(ts), wall_images(ts, lam, lattice_type))
+    return ParkingFunction(_twisted(vp, lam, lattice_type).compose(ts), wall_images(ts, lam, lattice_type))
 
 
 def anderson_windows(vp: VertPath, lattice_type: str) -> dict:
-    """Window arithmetic behind the torus element of a labelled path."""
+    """Window arithmetic behind the torus element of a labelled path, on
+    its area vector mu, mu's Grassmannian companion sigma and its reading
+    word: w_dom = (t(mu)*sigma)^-1, w_reg = word * w_dom, the torus vector
+    is minus the translation part of product = w_reg * frame^-1 modulo m,
+    and frame * t(mu)*sigma sends 0 to orbit_rep."""
     mu = zeta.area_vector(vp.path, lattice_type)
     sigma = grassmannian_companion(mu, lattice_type)
-    return window_arithmetic(zeta.reading_word(vp, lattice_type), mu, sigma, lattice_type)
-
-
-def window_arithmetic(word: SignedPermutation, mu, sigma: SignedPermutation, lattice_type: str) -> dict:
-    """anderson_windows' arithmetic on a reading word, an area vector mu and
-    its Grassmannian companion sigma: w_dom = (t(mu)*sigma)^-1, w_reg = word
-    * w_dom, the torus vector is minus the translation part of product =
-    w_reg * frame^-1 modulo m, and frame * t(mu)*sigma sends 0 to orbit_rep."""
+    word = zeta.reading_word(vp, lattice_type)
     n = len(mu)
     m = modulus(lattice_type, n)
     ts = translation(mu).compose(coerce_affine(sigma))
@@ -128,7 +124,7 @@ def _guard_cap(spec: TypeSpec, n: int, check: str) -> None:
 def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
     """Run the requested checks, by default every check that applies to the
     type, at every rank from the type's smallest up to n_max.  An empty
-    request or a check that does not apply to the type raises ValueError, a
+    request or a check that does not apply to the type raises Unsupported, a
     rank below the smallest raises RankMismatch, and a rank over the
     enumeration cap raises CapExceeded, all before any check runs.
 
@@ -139,10 +135,10 @@ def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
     if checks is None:
         checks = spec.checks
     if not checks:
-        raise ValueError("no checks requested")
+        raise Unsupported("no checks requested")
     foreign = [c for c in checks if c not in spec.checks]
     if foreign:
-        raise ValueError("checks %s do not apply to type %s" % (", ".join(foreign), lattice_type))
+        raise Unsupported("checks %s do not apply to type %s" % (", ".join(foreign), lattice_type))
     spec.check_rank(n_max)
     names = [c for c in spec.checks if c in checks]
     ranks = range(spec.min_rank, n_max + 1)

@@ -13,7 +13,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from zetakit import paths, stats, zeta
-from zetakit.affine import _residue, coerce_affine, dominant_frame, dominant_frame_parts, translation
+from zetakit.affine import (
+    AffinePermutation,
+    _residue,
+    coerce_affine,
+    decompose,
+    dominant_frame,
+    dominant_frame_parts,
+    grassmannian_companion,
+    translation,
+)
 from zetakit.errors import InvalidLabelling, NotAntichain, NotRepresentative, ZetakitError
 from zetakit.labelled import _rise_template, _signed, _text, _valley_template
 from zetakit.paths import (
@@ -37,12 +46,13 @@ from zetakit.rootposet import (
     highest_root_vector,
     is_positive_root_vector,
     positive_roots,
+    reflection_from_vector,
     simple_root_vectors,
     to_parking_function,
     to_vector,
 )
 from zetakit.signedperm import SignedPermutation, weyl_group
-from zetakit.torus import TorusElement, VertPath, enumerate_vert, lambda_of_path, wall_images
+from zetakit.torus import TorusElement, VertPath, enumerate_vert, label_twist, lambda_of_path, wall_images, wall_roots
 from zetakit.typespec import TypeSpec, modulus, type_spec
 from zetakit.verify import anderson_check, uniform_oracle
 
@@ -857,17 +867,25 @@ def _misfit(d, word) -> InvalidLabelling:
     return InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), d.image))
 
 
+def _group_side(d):
+    """lam, the slots of the label twist, mu and sigma of the path of d."""
+    lam = lambda_of_path(d.path, d.lt)
+    mu = zeta.area_vector(d.path, d.lt)
+    return lam, label_twist(d.vp, d.lt).window, mu, grassmannian_companion(mu, d.lt)
+
+
 def uniform_by_labels(d):
     # u*(tau*sigma) for the twisted labels u, against the word
-    ts = dominant_frame_parts(d.lt, d.r.n)[1].compose(d.sigma)
-    same_roots = wall_images(ts, d.lam, d.lt) == d.antichain
+    lam, twist, _, sigma = _group_side(d)
+    ts = dominant_frame_parts(d.lt, d.r.n)[1].compose(sigma)
+    same_roots = wall_images(ts, lam, d.lt) == d.antichain
 
     def test(item):
         v, word, fits = item
         if not fits:
             return _misfit(d, word)
         ext = _signed(v)
-        u = _signed([ext[k] for k in d.twist])
+        u = _signed([ext[k] for k in twist])
         if not same_roots or tuple(u[t] for t in ts.window) != word:
             return "parking functions differ at %s | %s"
         return None
@@ -880,9 +898,10 @@ def anderson_by_labels(d):
     # against the twisted labels acting on lam, both modulo m
     r = d.r
     n, m, K = r.n, r.spec.modulus(r.n), 2 * r.n + 1
-    w_dom = translation(d.mu).compose(coerce_affine(d.sigma)).inverse()
+    lam, twist, mu, sigma = _group_side(d)
+    w_dom = translation(mu).compose(coerce_affine(sigma)).inverse()
     frame = dominant_frame(d.lt, n)
-    orbit_ok = frame.compose(w_dom.inverse()).act((0,) * n) == d.lam
+    orbit_ok = frame.compose(w_dom.inverse()).act((0,) * n) == lam
     parts = []
     for a in w_dom.compose(frame.inverse()).window:
         s = _residue(a, K)
@@ -895,7 +914,7 @@ def anderson_by_labels(d):
         for s, q in parts:
             b = wext[s]
             vector[abs(b) - 1] = (q if b > 0 else -q) % m
-        for k, x in zip(d.twist, d.lam):
+        for k, x in zip(twist, lam):
             u = ext[k]
             coords[abs(u) - 1] = (x if u > 0 else -x) % m
         if vector != coords or not orbit_ok:
@@ -910,6 +929,43 @@ PER_LABELLING_ORACLES = {
     "uniform": uniform_by_labels,
     "anderson": anderson_by_labels,
 }
+
+
+# ---------------------------------------------------------------------------
+# the affine action and inverse through the split w = t(mu) * sigma
+
+
+def inverse_by_split(w: AffinePermutation) -> AffinePermutation:
+    """w^-1 = sigma^-1 * t(-mu): sigma^-1(i) + mu_i * K in slot i."""
+    split, K = decompose(w), w.period
+    sigma_inv = split.sigma.inverse()
+    return AffinePermutation(tuple(sigma_inv(i) + split.mu[i - 1] * K for i in range(1, w.n + 1)))
+
+
+def act_by_split(w: AffinePermutation, x) -> tuple[int, ...]:
+    """Apply the finite part sigma, then translate by mu."""
+    split = decompose(w)
+    return tuple(a + b for a, b in zip(split.sigma.act(x), split.mu))
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer of a representative by closing its wall reflections
+
+
+def stabilizer(lam, lattice_type: str) -> tuple[SignedPermutation, ...]:
+    """Subgroup generated by the reflections through the wall roots."""
+    n = len(tuple(lam))
+    gens = [reflection_from_vector(vec, n) for vec in wall_roots(lam, lattice_type)]
+    seen = {SignedPermutation.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = g.compose(s)
+            if h not in seen:
+                seen.add(h)
+                frontier.append(h)
+    return tuple(sorted(seen, key=lambda w: w.window))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from zetakit.affine import (
     recompose,
     translation,
 )
-from zetakit.errors import LatticeViolation, MalformedToken, NotBijective
+from zetakit.errors import LatticeViolation, MalformedToken, NotBijective, RankMismatch
 from zetakit.signedperm import SignedPermutation
 
 from oracles import (
@@ -27,7 +27,9 @@ from oracles import (
     C_W_DOM_INV,
     C_W_REG,
     FRAME_WINDOWS,
+    act_by_split,
     in_group_by_scan,
+    inverse_by_split,
     sp,
 )
 
@@ -284,3 +286,19 @@ def test_affine_json_roundtrip():
     assert not member(from_window((-4, 2)), "B")
     with pytest.raises(LatticeViolation):
         affine_from_json({"type": "B", "n": 2, "window": [-4, 2]})
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_act_and_inverse_read_the_window_as_the_split_does(n):
+    """act and inverse, read off the window, against the same maps through
+    decompose, on windows with entries shifted by up to 10^6 periods."""
+    rng = random.Random(n)
+    K = 2 * n + 1
+    for _ in range(200):
+        perm = rng.sample(range(1, n + 1), n)
+        w = AffinePermutation(tuple(rng.choice((1, -1)) * v + rng.randint(-10**6, 10**6) * K for v in perm))
+        x = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
+        assert w.inverse() == inverse_by_split(w), w
+        assert w.act(x) == act_by_split(w, x), (w, x)
+    with pytest.raises(RankMismatch):
+        AffinePermutation.identity(n).act((0,) * (n + 1))

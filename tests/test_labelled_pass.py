@@ -15,6 +15,7 @@ import zetakit.zeta as zmod
 from zetakit.errors import InternalError, InvalidLabelling, NotRepresentative, ZetakitError
 from zetakit.labelled import REFINED_MAX_RANK, run_pass
 from zetakit.paths import enumerate_paths, lattice, parse_path
+from zetakit.rootposet import to_parking_function
 from zetakit.signedperm import SignedPermutation, count_positive
 from zetakit.stats import area_prime_forms, dinv_c_prime_forms
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, modulus, type_spec
@@ -296,6 +297,20 @@ def _scale_area_vector(monkeypatch, lt: str, n: int):
     monkeypatch.setattr(zmod, "area_vector", lambda p, t: tuple(k * x for x in true_area(p, t)))
 
 
+def _assert_verdicts(lt: str, n: int, name: str, fault, oracle) -> None:
+    """The pass's verdict on check name is oracle(d) on every source path,
+    and every verdict holds iff there is no fault."""
+    r = labelled._Rank(lt, n)
+    check = labelled._CHECKS[name](r)
+    verdicts = []
+    for p in r.spec.sources(n):
+        d = labelled._PathData(p, r)
+        verdict = check.labels(d) is None
+        assert verdict == oracle(d), p
+        verdicts.append(verdict)
+    assert all(verdicts) == (fault is None)
+
+
 @pytest.mark.parametrize("lt,n", SELECT_RANKS)
 @pytest.mark.parametrize(
     "fault", [None, _negate_first_twist, _scale_area_vector], ids=["clean", "negated_twist", "scaled_area"]
@@ -305,14 +320,33 @@ def test_the_pass_is_the_anderson_oracle_at_the_identity(monkeypatch, fault, lt,
     verify.anderson_check on the path with the identity labelling."""
     if fault:
         fault(monkeypatch, lt, n)
-    r = labelled._Rank(lt, n)
-    check = labelled._CHECKS["anderson"](r)
-    verdicts = []
-    for p in r.spec.sources(n):
-        verdict = check.labels(labelled._PathData(p, r)) is None
-        assert verdict == verify.anderson_check(torus.VertPath(p, SignedPermutation.identity(n)), lt), p
-        verdicts.append(verdict)
-    assert all(verdicts) == (fault is None)
+    identity = SignedPermutation.identity(n)
+    _assert_verdicts(lt, n, "anderson", fault, lambda d: verify.anderson_check(torus.VertPath(d.path, identity), lt))
+
+
+def _uniform_at_first_labelling(d) -> bool:
+    """uniform_oracle against the parking function of the image and the
+    word, at the path's first vertical labelling; a misfit fails."""
+    vp = torus.VertPath(d.path, SignedPermutation(d.r.window(d.mask & -d.mask)))
+    try:
+        return verify.uniform_oracle(vp, d.lt) == to_parking_function(*zmod.zeta_labelled(vp, d.lt), d.lt)
+    except InvalidLabelling:
+        return False
+
+
+@pytest.mark.parametrize("lt,n", SELECT_RANKS)
+@pytest.mark.parametrize(
+    "fault", [None, _negate_first_twist, _negate_last_letter], ids=["clean", "negated_twist", "negated_letter"]
+)
+def test_the_pass_is_the_uniform_oracle_at_the_identity(monkeypatch, fault, lt, n):
+    """On every source path, the pass's uniform verdict is verify's
+    uniform_oracle on one labelled path.  That path is the first vertical
+    labelling, which is the identity wherever the identity labels the path
+    vertically (every B and C path); in D the identity's word can miss the
+    image's sign parity, a misfit of a labelling the path does not have."""
+    if fault:
+        fault(monkeypatch, lt, n)
+    _assert_verdicts(lt, n, "uniform", fault, _uniform_at_first_labelling)
 
 
 @pytest.mark.parametrize("lt,n", RANKS)
@@ -414,7 +448,6 @@ def _companion_fails_on_third_path(monkeypatch, lt: str, n: int):
         return true_companion(mu, t)
 
     monkeypatch.setattr(verify, "grassmannian_companion", companion)
-    monkeypatch.setattr(labelled, "grassmannian_companion", companion)
 
 
 @pytest.mark.parametrize("lt", ["B", "C", "D"])

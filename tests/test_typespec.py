@@ -3,9 +3,15 @@ import pytest
 import zetakit.labelled as labelled
 import zetakit.torus as torus
 import zetakit.typespec as typespec
-from zetakit.errors import RankMismatch, ShapeMismatch
+from zetakit import stats
+from zetakit.affine import AffinePermutation, dominant_frame, grassmannian_companion, in_group, is_grassmannian
+from zetakit.errors import RankMismatch, ShapeMismatch, Unsupported, ZetakitError
 from zetakit.paths import ballot, enumerate_paths, is_dyck, lattice, parse_path, signed_ballot
+from zetakit.rootposet import antichain_to_ballot, diag_validate
+from zetakit.signedperm import SignedPermutation, weyl_group
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, type_spec
+from zetakit.verify import run_suite
+from zetakit.zeta import area_vector
 
 
 def test_registry_values():
@@ -22,6 +28,39 @@ def test_registry_values():
         type_spec("A").modulus(3)
     with pytest.raises(ValueError):
         type_spec("E")
+
+
+_SQUARE = parse_path("NNEE", lattice(2, 2))
+_BALLOT = parse_path("NNEE", ballot(4))
+_W = AffinePermutation.identity(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: torus.TorusElement("A", (0,)),
+        lambda: torus.torus_element("X", (0, 0)),
+        lambda: weyl_group("X", 2),
+        lambda: dominant_frame("A", 3),
+        lambda: is_grassmannian(_W, "A"),
+        lambda: in_group(_W, "A"),
+        lambda: grassmannian_companion((0, 0), "A"),
+        lambda: area_vector(_SQUARE, "X"),
+        lambda: torus.alcove("A", 2),
+        lambda: torus.lambda_of_path(_SQUARE, "A"),
+        lambda: diag_validate(_BALLOT, SignedPermutation.identity(2), "A"),
+        lambda: antichain_to_ballot([], "A", 2),
+        lambda: stats.area(_BALLOT, "A"),
+        lambda: run_suite("X", 2),
+        lambda: run_suite("C", 2, []),
+        lambda: run_suite("A", 2, ["uniform"]),
+    ],
+)
+def test_an_unsupported_type_or_request_is_a_typed_error(call):
+    # a ZetakitError, and still the ValueError it was before it had a type
+    with pytest.raises(Unsupported) as info:
+        call()
+    assert isinstance(info.value, ZetakitError) and isinstance(info.value, ValueError)
 
 
 def test_torus_reexports_registry_functions():
