@@ -23,7 +23,6 @@ from .paths import (
     parse_path,
     render_path,
     rises,
-    segment,
     signed_ballot,
     signed_lattice,
     valleys,

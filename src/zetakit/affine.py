@@ -51,7 +51,7 @@ class AffinePermutation:
         other = coerce_affine(other)
         if self.n != other.n:
             raise RankMismatch("rank %d vs %d" % (self.n, other.n))
-        return AffinePermutation(tuple(self(other.window[i]) for i in range(self.n)))
+        return _built(tuple(self(other.window[i]) for i in range(self.n)))
 
     __mul__ = compose
 
@@ -63,7 +63,7 @@ class AffinePermutation:
         for i, v in enumerate(self.window, start=1):
             r = _residue(v, K)
             win[abs(r) - 1] = i - v + r if r > 0 else v - r - i
-        return AffinePermutation(tuple(win))
+        return _built(tuple(win))
 
     def act(self, x) -> tuple[int, ...]:
         """Action on the coroot lattice, translation * finite part read off
@@ -93,6 +93,14 @@ class AffinePermutation:
     @classmethod
     def from_text(cls, text: str) -> "AffinePermutation":
         return cls(json_window(text))
+
+
+def _built(window: tuple[int, ...]) -> AffinePermutation:
+    """The affine permutation with a window that group arithmetic on valid
+    operands built, without the residue scan of __post_init__."""
+    w = object.__new__(AffinePermutation)
+    object.__setattr__(w, "window", window)
+    return w
 
 
 def _residue(v: int, K: int) -> int:

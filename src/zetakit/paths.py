@@ -178,9 +178,9 @@ def make_path(steps, kind: PathKind, sign: int = 1) -> Path:
     length = sum(plain.params)  # a + b for lattice(a, b)
     if len(steps) != length:
         raise ShapeViolation("expected %d steps for %s, got %d" % (length, kind, len(steps)))
-    if any(s not in (N, E) for s in steps):
-        raise ShapeViolation("steps must be N or E")
     east = steps.count(E)
+    if east + steps.count(N) != length:
+        raise ShapeViolation("steps must be N or E")
     if plain.shape == "lattice" and east != plain.params[0]:
         raise ShapeViolation("expected %d East steps for %s, got %d" % (plain.params[0], kind, east))
     if plain.shape == "ballot" and not _is_ballot(steps):
@@ -284,9 +284,10 @@ def path_of_east_counts(pi, kind: PathKind, sign: int = 1) -> Path:
     """The path of the lattice kind (or its signed lift) whose k-th North
     step has pi[k] East steps before it: the inverse of east_counts, for pi
     weakly increasing and at most the kind's width."""
-    steps = [E] * unsigned(kind).params[0]
+    steps = [E] * (unsigned(kind).params[0] + len(pi))
     for k, v in enumerate(pi):
-        steps.insert(v + k, N)
+        # k North and v East steps come before it
+        steps[v + k] = N
     return make_path(steps, kind, sign)
 
 
@@ -309,27 +310,6 @@ def lift_signed(p: Path, sign: int = 1) -> Path:
     if kind is None or unsigned(kind) != p.kind:
         raise ShapeMismatch("%s paths do not lift to signed paths" % p.kind)
     return make_path(p.steps, kind, sign)
-
-
-def segment(direction: str, sign: int, j: int, values) -> str:
-    """Scan an integer vector and write N/E letters.
-
-    With sign +1 an entry equal to j yields N and j+1 yields E; with sign
-    -1 an entry equal to -j yields N and -j-1 yields E.  The direction
-    sets the scan order.
-    """
-    if sign > 0:
-        n_val, e_val = j, j + 1
-    else:
-        n_val, e_val = -j, -j - 1
-    seq = values if direction == "left_to_right" else tuple(reversed(tuple(values)))
-    out = []
-    for v in seq:
-        if v == n_val:
-            out.append(N)
-        elif v == e_val:
-            out.append(E)
-    return "".join(out)
 
 
 def count_paths(kind: PathKind) -> int:

@@ -126,7 +126,7 @@ def path_of_lambda(lam, lattice_type: str) -> Path:
         if last2 % 2 != 0:
             raise NotRepresentative("parity mismatch in %r" % (lam,))
         pi.append(last2 // 2)
-    if any(a > b for a, b in zip(pi, pi[1:])):
+    if sorted(pi) != list(pi):
         raise NotRepresentative("east counts %r not increasing" % (pi,))
     kind = spec.source.kind(n)
     emax = paths.unsigned(kind).params[0]  # the kind is lattice(emax, n) or its signed lift

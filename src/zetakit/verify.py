@@ -34,7 +34,12 @@ from .typespec import LABELLED_CHECKS, TypeSpec, modulus, type_spec
 def uniform_oracle(vp: VertPath, lattice_type: str) -> ParkingFunction:
     """Parking function of a labelled path computed through the group
     side: twist the wall roots of the representative by the frame and the
-    Grassmannian companion instead of using the combinatorial map."""
+    Grassmannian companion instead of using the combinatorial map.
+
+    It does not check that the labelling is vertical.  The pass calls it at
+    the identity labelling, which torus.vert refuses on 22 of the 50 D4
+    sources; the verdict still holds there, since the reading word reads
+    the labels at fixed slots and decides every labelling of the path."""
     lam = lambda_of_path(vp.path, lattice_type)
     sigma = grassmannian_companion(zeta.area_vector(vp.path, lattice_type), lattice_type)
     _, tau = dominant_frame_parts(lattice_type, len(lam))
@@ -78,7 +83,12 @@ def _frames(lattice_type: str, n: int):
 
 def anderson_check(vp: VertPath, lattice_type: str) -> bool:
     """The window arithmetic must reproduce both the torus element and the
-    orbit representative of the labelled path."""
+    orbit representative of the labelled path.
+
+    Like uniform_oracle, it does not check that the labelling is vertical,
+    and the pass calls it at the identity labelling, which need not be; a
+    labelling moves and signs the entries of both torus vectors alike, so
+    the identity decides every labelling of the path."""
     data = anderson_windows(vp, lattice_type)
     lam = lambda_of_path(vp.path, lattice_type)
     return data["vector"] == to_torus(vp, lattice_type).coords and data["orbit_rep"] == lam

@@ -5,7 +5,9 @@ type-C bounce inverse.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+from operator import add, sub
 
 from . import paths
 from .affine import dominant_frame_parts
@@ -18,7 +20,6 @@ from .paths import (
     lift_signed,
     make_path,
     path_of_east_counts,
-    segment,
     sign_of,
     strip_signs,
 )
@@ -26,7 +27,7 @@ from .signedperm import SignedPermutation
 from .torus import VertPath, lambda_of_path, path_of_lambda
 from .typespec import type_spec
 
-N = paths.N
+N, E = paths.N, paths.E
 
 
 def area_vector(p: Path, lattice_type: str) -> tuple[int, ...]:
@@ -78,29 +79,45 @@ def is_valid_area_vector(mu, lattice_type: str) -> bool:
 
 
 def zeta_path(p: Path, lattice_type: str) -> Path:
-    """The zeta image of an unlabelled path.  In types B, C and D, level j
-    from the top down to 0 writes its entries -j right to left, then its
-    entries j left to right; B puts an N before the level-0 left-to-right
-    run, B and D drop the last step, and D's sign is the parity of the
-    positive entries."""
+    """The zeta image of an unlabelled path: one level word, written in one
+    pass over the area vector mu.  In type A, entry v writes N at level v
+    and E at level v + 1, and the levels run up from 0.  In types B, C and
+    D, level j is two runs: the nonpositive entries read right to left, -j
+    writing N and -j-1 E, then the nonnegative ones read left to right, j
+    writing N and j+1 E; the levels run down to 0.  B puts an N before the
+    second run of level 0, B and D drop the last step, and D's sign is the
+    parity of the positive entries."""
     spec = type_spec(lattice_type)
     n = spec.source_rank(p)
     kind = spec.target.kind(n)
     mu = area_vector(p, lattice_type)
     if lattice_type == "A":
-        word = "".join(segment("left_to_right", -1, j, mu) for j in range(0, -n - 1, -1))
-        return make_path(tuple(word), kind)
-    parts = []
-    for j in range(max(abs(v) for v in mu), -1, -1):
-        parts.append(segment("right_to_left", -1, j, mu))
-        if j == 0 and lattice_type == "B":
-            parts.append(N)
-        parts.append(segment("left_to_right", 1, j, mu))
-    word = "".join(parts)
+        runs = [""] * (n + 1)
+        for v in mu:
+            runs[v] += N
+            runs[v + 1] += E
+        return make_path("".join(runs), kind)
+    # level j's runs are runs[2 * (top - j)] and runs[2 * (top - j) + 1]
+    top = 2 * max(map(abs, mu))
+    runs = [""] * (top + 2)
+    if lattice_type == "B":
+        runs[-1] = N
+    for v in reversed(mu):
+        if v <= 0:
+            runs[top + 2 * v] += N
+            if v:
+                runs[top + 2 * v + 2] += E
+    positives = 0
+    for v in mu:
+        if v >= 0:
+            runs[top - 2 * v + 1] += N
+            if v:
+                runs[top - 2 * v + 3] += E
+                positives += 1
+    word = "".join(runs)
     if lattice_type != "C":
         word = word[:-1]
-    sign = -1 if lattice_type == "D" and sum(1 for v in mu if v > 0) % 2 else 1
-    return make_path(tuple(word), kind, sign)
+    return make_path(word, kind, -1 if lattice_type == "D" and positives % 2 else 1)
 
 
 def reading_word(vp: VertPath, lattice_type: str) -> SignedPermutation:
@@ -160,87 +177,120 @@ def bounce_path(p: Path):
     of absolute value k in any preimage.
     """
     n = type_spec("C").target_rank(p)
-    tops = set()
-    x = y = 0
-    for s in p.steps:
-        if s == N:
-            y += 1
-            tops.add((x, y))
-        else:
-            x += 1
-    moves = []
-    hits = []
-    cx, cy = x, y
-    moves.append("S" * (cy - cx))
-    cy = cx
-    hits.append(cx)
-    while (cx, cy) != (0, 0):
-        wx = cx
-        while wx >= 0 and (wx, cy) not in tops:
-            wx -= 1
-        if wx < 0:
-            raise InternalError("bounce path found no North step at height %d" % cy)
-        moves.append("W" * (cx - wx))
-        moves.append("S" * (cy - wx))
-        cx = cy = wx
-        hits.append(cx)
-    alphas = [n - hits[0]]
+    hits = _bounce_hits("".join(p.steps))
+    moves = ["S" * (len(p.steps) - 2 * hits[0])]
     for a, b in zip(hits, hits[1:]):
-        alphas.append(a - b)
-    alphas.extend([0] * (n + 1 - len(alphas)))
+        moves += ["W" * (a - b), "S" * (a - b)]
+    return "".join(moves), _level_counts(hits, n)
+
+
+def _bounce_hits(word: str) -> list[int]:
+    """The columns x of the diagonal points (x, x) that the bounce path of a
+    ballot path's steps visits, from the end point's down to 0: from (x, x)
+    it goes West to the North step that reaches height x, then South."""
+    # the East steps before the North step that reaches height y, at y - 1
+    tops = list(itertools.accumulate(map(len, word.split(N)[:-1])))
+    x = len(word) - len(tops)
+    hits = [x]
+    while x:
+        if x > len(tops) or tops[x - 1] >= x:
+            raise InternalError("bounce path found no North step at height %d" % x)
+        x = tops[x - 1]
+        hits.append(x)
+    return hits
+
+
+def _level_counts(hits: list[int], n: int) -> tuple[int, ...]:
+    """alphas[k], the entries of absolute value k in the area vector of a
+    preimage: the bounce's first hit leaves n - hits[0] entries 0, and each
+    later bounce a level of hits[k - 1] - hits[k] entries."""
+    alphas = [n - hits[0]] + [a - b for a, b in zip(hits, hits[1:])]
+    alphas += [0] * (n + 1 - len(alphas))
     if sum(alphas) != n or len(alphas) != n + 1:
         raise InternalError("bounce decode inconsistent: %r" % (alphas,))
-    return "".join(moves), tuple(alphas)
+    return tuple(alphas)
+
+
+# the decoder writes an entry v of a rank-n area vector as chr(n + _Z + v),
+# and as chr(n + _Z + |v|) while it attaches entries: above N and E
+_Z = 80
+
+
+@lru_cache(maxsize=64)
+def _negated(n: int) -> dict:
+    """The translation that negates the decoder's entries at rank n."""
+    z = n + _Z
+    return {z + k: z - k for k in range(1, n + 1)}
 
 
 def inverse_zeta_c(p: Path) -> Path:
     """Preimage of a ballot path under the type-C zeta map.
 
-    Decodes the level counts from the bounce path, cuts the path from its
-    end into one block per level, and rebuilds the area vector level by
-    level by one attach rule.  With m entries -k in mu, the first m North
-    steps of level k's block, read backwards, are those entries, and the
-    East run after each is that many entries -(k+1) right after it; each
-    later East run before a North step is that many entries k+1 right
-    before the next entry k.
+    Decodes the level counts from the bounce path and cuts the path from
+    its end into one block per level.  With m entries -k in mu, the first
+    m North steps of level k's block, read backwards, are those entries,
+    and the East run before each is that many entries -(k+1) right after
+    it; each later East run before a North step is that many entries k+1
+    right before the next entry k, and level 0's final East run is that
+    many entries 1 at the end of mu.
+
+    So in every block an East step stands for an entry of the level above
+    and the next North step for the entry that attached it.  The blocks
+    are read from the top level down, each entry as one character: the
+    readings of a level, each entry after the readings of the entries it
+    attached, are ready before the level below takes them, and no level
+    rescans mu.  lambda is mu reversed in C's frame, lam[i] = i + 1 -
+    mu[n - 1 - i].
     """
-    _, alphas = bounce_path(p)
     n = type_spec("C").target_rank(p)
     word = "".join(p.steps)
-    blocks = []
-    idx = len(word)
-    for k in range(0, n + 1):
-        size = 2 * alphas[0] + alphas[1] if k == 0 else alphas[k] + (alphas[k + 1] if k < n else 0)
-        blocks.append(word[idx - size : idx])
-        idx -= size
-    if idx != 0:
+    alphas = _level_counts(_bounce_hits(word), n)
+    # level k's block has alphas[k] North steps and alphas[k + 1] East
+    # steps; level 0's has its North steps twice
+    sizes = [a + b for a, b in zip(alphas, alphas[1:] + (0,))]
+    sizes[0] += alphas[0]
+    end = len(word)
+    if sum(sizes) != end:
         raise InternalError("block sizes do not cover the path")
-
-    mu = [0] * alphas[0]
-    for k, block in enumerate(blocks):
-        if not block:
+    blocks = []
+    m = alphas[0]
+    for k, size in enumerate(sizes):
+        if not size:
             # the bounce hits strictly decrease, so the blocks of levels up
             # to max|mu| are not empty; this one and all later ones are
             # above it and attach nothing
             break
-        m = mu.count(-k)
-        # the East run before each North step of the block, and the final run
-        runs = [len(r) for r in block.split(N)]
-        if len(runs) <= m:
+        block = word[end - size : end]
+        end -= size
+        rest = block.split(N, m)
+        if len(rest) <= m:
             raise InternalError("block %r has fewer than %d North steps" % (block, m))
-        after, before, tail = reversed(runs[:m]), iter(runs[m:-1]), runs[-1]
-        if tail and k:
+        if k and block[-1] == E:
             raise InternalError("positive block ends with an East step")
-        out: list[int] = []
-        for v in mu:
-            if v == k:
-                out.extend([k + 1] * next(before))
-            out.append(v)
-            if v == -k:
-                out.extend([-(k + 1)] * next(after))
-        # only level 0 may end on an East run: that many entries 1 end mu
-        mu = out + [1] * tail
-    return path_of_area_vector(tuple(mu), "C")
+        blocks.append(block)
+        m = size - len(rest[-1]) - m
+    # the readings of level k + 1, each ending with its entry, in the order
+    # of the East steps of level k's block that take them: each North step
+    # closes the reading of an entry of level k, whatever its sign
+    z = n + _Z
+    reading = ""
+    for k in range(len(blocks) - 1, -1, -1):
+        up = chr(z + k + 1)
+        reading = up.join(map(add, blocks[k].replace(N, chr(z + k)).split(E), reading.split(up)))
+    # level 0's first alphas[0] readings are those of the zeros with the
+    # negative entries they attached, right to left; the others those of
+    # the zeros with the positive entries, left to right, and the last one
+    # the final run of entries 1.  Each 0 comes after the entries it
+    # attached before it and before those it attached after it.
+    zero = chr(z)
+    negs = reading.split(zero, alphas[0])
+    poss = negs.pop().split(zero)
+    negs = zero.join(negs).translate(_negated(n))[::-1].split(zero)
+    # with no zeros, poss is the final run alone
+    mu = zero.join(map(add, ["", *negs], poss))
+    if len(mu) != n:
+        raise InternalError("decoded %d entries at rank %d" % (len(mu), n))
+    return path_of_lambda(list(map(sub, range(z + 1, z + n + 1), map(ord, reversed(mu)))), "C")
 
 
 def sweep_labels(p: Path) -> list[int]:

@@ -1052,3 +1052,124 @@ def dinv_c_by_cases(p: Path) -> int:
         a, b = rho[i], rho[j]
         total += (a == b) + (a == b + 1) + (a == -b) + (a == -b + 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the zeta codec by one scan of the area vector per level
+
+
+def segment(direction: str, sign: int, j: int, values) -> str:
+    """Scan an integer vector and write N/E letters.
+
+    With sign +1 an entry equal to j yields N and j+1 yields E; with sign
+    -1 an entry equal to -j yields N and -j-1 yields E.  The direction
+    sets the scan order.
+    """
+    if sign > 0:
+        n_val, e_val = j, j + 1
+    else:
+        n_val, e_val = -j, -j - 1
+    seq = values if direction == "left_to_right" else tuple(reversed(tuple(values)))
+    out = []
+    for v in seq:
+        if v == n_val:
+            out.append(N)
+        elif v == e_val:
+            out.append(E)
+    return "".join(out)
+
+
+def zeta_path_by_level_scan(p: Path, lattice_type: str) -> Path:
+    """The zeta image with one segment scan of mu per level and run: level
+    j from the top down writes its entries -j right to left, then its
+    entries j left to right; B puts an N before the level-0 left-to-right
+    run, B and D drop the last step, and D's sign is the parity of the
+    positive entries.  Type A scans the levels upwards, left to right."""
+    spec = type_spec(lattice_type)
+    n = spec.source_rank(p)
+    kind = spec.target.kind(n)
+    mu = zeta.area_vector(p, lattice_type)
+    if lattice_type == "A":
+        word = "".join(segment("left_to_right", -1, j, mu) for j in range(0, -n - 1, -1))
+        return make_path(tuple(word), kind)
+    parts = []
+    for j in range(max(abs(v) for v in mu), -1, -1):
+        parts.append(segment("right_to_left", -1, j, mu))
+        if j == 0 and lattice_type == "B":
+            parts.append(N)
+        parts.append(segment("left_to_right", 1, j, mu))
+    word = "".join(parts)
+    if lattice_type != "C":
+        word = word[:-1]
+    sign = -1 if lattice_type == "D" and sum(1 for v in mu if v > 0) % 2 else 1
+    return make_path(tuple(word), kind, sign)
+
+
+def bounce_by_tops(p: Path):
+    """The bounce path's moves and level counts, by searching the set of
+    North step tops West from each diagonal point."""
+    n = type_spec("C").target_rank(p)
+    tops = set()
+    x = y = 0
+    for s in p.steps:
+        if s == N:
+            y += 1
+            tops.add((x, y))
+        else:
+            x += 1
+    moves = ["S" * (y - x)]
+    hits = [x]
+    cx = cy = x
+    while (cx, cy) != (0, 0):
+        wx = cx
+        while wx >= 0 and (wx, cy) not in tops:
+            wx -= 1
+        moves.append("W" * (cx - wx))
+        moves.append("S" * (cy - wx))
+        cx = cy = wx
+        hits.append(cx)
+    alphas = [n - hits[0]] + [a - b for a, b in zip(hits, hits[1:])]
+    return "".join(moves), tuple(alphas + [0] * (n + 1 - len(alphas)))
+
+
+def inverse_zeta_c_by_area_vector(p: Path) -> Path:
+    """The type-C preimage by rebuilding mu with one scan per level, then
+    path_of_area_vector.  Level k's block, m = #(-k) in mu: the first m
+    North steps, read backwards, are the entries -k, the East run before
+    each that many entries -(k+1) right after it; each later East run is
+    that many entries k+1 right before the next entry k, and level 0's
+    final East run that many entries 1 at the end."""
+    _, alphas = bounce_by_tops(p)
+    n = type_spec("C").target_rank(p)
+    word = "".join(p.steps)
+    blocks = []
+    idx = len(word)
+    for k in range(0, n + 1):
+        size = 2 * alphas[0] + alphas[1] if k == 0 else alphas[k] + (alphas[k + 1] if k < n else 0)
+        blocks.append(word[idx - size : idx])
+        idx -= size
+    mu = [0] * alphas[0]
+    for k, block in enumerate(blocks):
+        if not block:
+            break
+        m = mu.count(-k)
+        runs = [len(r) for r in block.split(N)]
+        after, before, tail = reversed(runs[:m]), iter(runs[m:-1]), runs[-1]
+        out: list[int] = []
+        for v in mu:
+            if v == k:
+                out.extend([k + 1] * next(before))
+            out.append(v)
+            if v == -k:
+                out.extend([-(k + 1)] * next(after))
+        mu = out + [1] * tail
+    return zeta.path_of_area_vector(tuple(mu), "C")
+
+
+def path_of_east_counts_by_insert(pi, kind, sign: int = 1) -> Path:
+    """The path whose k-th North step has pi[k] East steps before it, by
+    inserting each North step into the row of East steps."""
+    steps = [E] * paths.unsigned(kind).params[0]
+    for k, v in enumerate(pi):
+        steps.insert(v + k, N)
+    return make_path(steps, kind, sign)

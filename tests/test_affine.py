@@ -17,7 +17,7 @@ from zetakit.affine import (
     translation,
 )
 from zetakit.errors import LatticeViolation, MalformedToken, NotBijective, RankMismatch
-from zetakit.signedperm import SignedPermutation
+from zetakit.signedperm import SignedPermutation, weyl_group
 
 from oracles import (
     C_PRODUCT,
@@ -302,3 +302,30 @@ def test_act_and_inverse_read_the_window_as_the_split_does(n):
         assert w.act(x) == act_by_split(w, x), (w, x)
     with pytest.raises(RankMismatch):
         AffinePermutation.identity(n).act((0,) * (n + 1))
+
+
+def _validated(w) -> AffinePermutation:
+    """w rebuilt through the constructor that scans the window's residues."""
+    assert type(w) is AffinePermutation
+    return AffinePermutation(tuple(w.window))
+
+
+@pytest.mark.parametrize("lt,n", [(lt, n) for lt in "BCD" for n in range(2, 5)])
+def test_compose_and_inverse_build_what_the_validating_constructor_builds(lt, n):
+    # every window of the finite group, moved off it by the frame element
+    frame = dominant_frame(lt, n)
+    shift = translation(range(n))
+    for u in weyl_group(lt, n):
+        w = frame.compose(coerce_affine(u))
+        for built in (w, w.inverse(), w.compose(shift), shift.compose(w), w.compose(w.inverse())):
+            valid = _validated(built)
+            assert built == valid and hash(built) == hash(valid)
+            assert built.window == valid.window and isinstance(built.window, tuple)
+
+
+@pytest.mark.parametrize("window", [(1, 1), (1, 6), (2, -2), (0, 1), (3, 4, 11)])
+def test_a_malformed_window_still_raises(window):
+    with pytest.raises(NotBijective):
+        AffinePermutation(window)
+    with pytest.raises(NotBijective):
+        from_window(window)

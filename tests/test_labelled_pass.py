@@ -524,9 +524,27 @@ def test_one_enumeration_per_side_and_one_zeta_per_path(monkeypatch):
     assert run_suite("C", 3).passed
     spec = type_spec("C")
     assert kinds == [kind for n in (1, 2, 3) for kind in (spec.source.kind(n), spec.target.kind(n))]
-    # one zeta per source path, and one per target for inverse_roundtrip's target side
-    sizes = [sum(1 for _ in true_enumerate(kind)) for kind in kinds]
-    assert len(images) == sum(sizes)
+    # one zeta per source path, and none for a target that is the image of
+    # a source path whose round trip held: here every target is one
+    assert images == [p for n in (1, 2, 3) for p in true_enumerate(spec.source.kind(n))]
+
+
+def test_a_target_that_is_no_verified_image_runs_its_round_trip(monkeypatch):
+    # zeta sends the first C3 source path to a step tuple that is not a
+    # ballot path, and the inverse sends that back: every source round trip
+    # holds, but the first path's true image is no verified image, so its
+    # own round trip runs and fails
+    true_zeta, true_inverse = zmod.zeta_path, zmod.inverse_zeta_c
+    first = next(iter(type_spec("C").sources(3)))
+    bad = paths.Path(("E", "N", "N", "N", "E", "E"), paths.ballot(6))
+    monkeypatch.setattr(zmod, "zeta_path", lambda p, t: bad if p == first else true_zeta(p, t))
+    monkeypatch.setattr(zmod, "inverse_zeta_c", lambda q: first if q == bad else true_inverse(q))
+    image = true_zeta(first, "C")
+    targets = [str(q) for q in type_spec("C").targets(3)]
+    assert run_pass("C", 3, ["inverse_roundtrip"]) == {
+        "inverse_roundtrip": ("round trip fails at image %s" % image, 20 + targets.index(str(image)) + 1)
+    }
+    assert UNLABELLED_ORACLES["inverse_roundtrip"]("C", 3) == run_pass("C", 3, ["inverse_roundtrip"])["inverse_roundtrip"]
 
 
 def test_d_bijectivity_computes_one_zeta_per_source_path(monkeypatch):

@@ -19,7 +19,6 @@ from zetakit.paths import (
     path_to_json,
     render_path,
     rises,
-    segment,
     sign_of,
     signed_ballot,
     signed_lattice,
@@ -29,7 +28,7 @@ from zetakit.paths import (
 )
 from zetakit.torus import torus_from_json
 
-from oracles import enumerate_paths_by_recursion
+from oracles import enumerate_paths_by_recursion, segment
 
 
 def test_parse_golden_square():
