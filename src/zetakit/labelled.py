@@ -38,7 +38,7 @@ from operator import mul
 from . import paths, stats, verify, zeta
 from .errors import InternalError, InvalidLabelling, ZetakitError
 from .paths import Path, render_path, rises, sign_of, strip_signs, unsigned
-from .rootposet import ParkingFunction, _forms, antichain_forms, ballot_to_antichain
+from .rootposet import ParkingFunction, _ends, _forms, antichain_forms, ballot_to_antichain
 from .signedperm import SignedPermutation, passes
 from .torus import VertPath, vertical_forms
 from .typespec import type_spec
@@ -92,20 +92,16 @@ def _rise_template(p: Path, lt: str) -> list:
 
 def _valley_template(roots) -> list:
     """Valley tokens of the reading word w on the image, one per root of its
-    antichain (sorted): e_j - e_i pairs w(j) with w(i), e_j + e_i pairs w(j)
-    with -w(i), 2e_i pairs w(i) with -w(i) and e_i pairs w(i) with 0.  Two
-    roots e_a - e_1 and e_a + e_1, comparable in B and C and so together
-    only in D, give the absolute token of w(1) and w(a) instead."""
+    antichain (sorted): e_a + s*e_b (rootposet._ends) pairs w(a) with
+    -s*w(b), where w(0) = 0.  Two roots e_a - e_b and e_a + e_b, comparable
+    in B and C and so together only in D with b = 1, give the absolute
+    token of w(b) and w(a) instead."""
     out = []
-    for r in roots:
-        if r.kind == "diff":
-            out.append((False, r.j, r.i))
-        elif r.kind == "sum" and (False, r.j, 1) in out:
-            out[out.index((False, r.j, 1))] = (True, 1, r.j)
-        elif r.kind == "sum":
-            out.append((False, r.j, -r.i))
+    for a, s, b in map(_ends, roots):
+        if s > 0 and (False, a, b) in out:
+            out[out.index((False, a, b))] = (True, b, a)
         else:
-            out.append((False, r.i, -r.i if r.kind == "long" else 0))
+            out.append((False, a, -s * b))
     return out
 
 
@@ -217,6 +213,15 @@ class _PathData:
         self.path, self.lt, self.r = p, r.lt, r
 
 
+class _Target:
+    """One target path; its text is rendered when a check first reads it."""
+
+    key = _lazy(lambda t: render_path(t.path))
+
+    def __init__(self, q: Path):
+        self.path = q
+
+
 class _Check:
     """One check's outcome (None, the first counterexample, or the
     ZetakitError it raised) and the objects it examined.  Its hooks:
@@ -224,7 +229,7 @@ class _Check:
     gives the first counterexample among the path's labellings as (bit,
     outcome), where bit is the set of that one labelling and the outcome is
     a "... %s | %s" template for (path, labels) or the exception to raise,
-    or None; target(q) is the per-target test; finish() gives the outcome
+    or None; target(t) is the test on a _Target; finish() gives the outcome
     after both phases; parts() lists what the pass runs for the check."""
 
     source = labels = target = finish = None
@@ -245,7 +250,7 @@ class _Counting(_Check):
     def source(self, d: _PathData):
         return None
 
-    def target(self, q):
+    def target(self, t: _Target):
         self.targets += 1
 
     def finish(self):
@@ -287,8 +292,8 @@ class _Bijectivity(_Check):
             self.star.add(render_path(strip_signs(d.image)))
         return None
 
-    def target(self, q):
-        self.hit.add(render_path(q))
+    def target(self, t: _Target):
+        self.hit.add(t.key)
 
     def finish(self):
         if self.images != self.hit:
@@ -318,10 +323,10 @@ class _InverseRoundtrip(_Check):
         self.verified.add(d.key)
         return None
 
-    def target(self, q):
+    def target(self, t: _Target):
         self.examined += 1
-        if render_path(q) not in self.verified and zeta.zeta_path(zeta.inverse_zeta_c(q), "C") != q:
-            return "round trip fails at image %s" % q
+        if t.key not in self.verified and zeta.zeta_path(zeta.inverse_zeta_c(t.path), "C") != t.path:
+            return "round trip fails at image %s" % t.path
         return None
 
 
@@ -389,9 +394,9 @@ class _LabelledBijectivity(_Check):
         earlier.append(_pull(*d.vertical, SignedPermutation(d.read).inverse().window))
         return _first(d, d.mask & clash, "labelled duplicate at %s | %s", "image of %s | %s is not diagonally labelled")
 
-    def target(self, q):
+    def target(self, t: _Target):
         if self.examined == self.expected:  # else finish reports the domain size
-            forms = self.fits.get(render_path(q)) or antichain_forms(q, self.r.lt)
+            forms = self.fits.get(t.key) or antichain_forms(t.path, self.r.lt)
             self.diagonal += self.r.select(*forms).bit_count()
 
     def finish(self):
@@ -465,9 +470,10 @@ def run_pass(lt: str, n: int, names) -> dict:
         live = [c for c in live if c.outcome is None]
     takers = [c for c in run if c.target and c.outcome is None]
     for q in r.spec.targets(n) if takers else ():
+        t = _Target(q)
         for c in takers:
             if c.outcome is None:
-                _settle(c, c.target, q)
+                _settle(c, c.target, t)
     for c in checks.values():
         if c.outcome is None and c.finish:
             _settle(c, c.finish)

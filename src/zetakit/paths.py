@@ -26,7 +26,10 @@ CAP_ENV = "ZETAKIT_CAP"
 
 
 def enumeration_cap() -> int:
-    return int(os.environ.get(CAP_ENV, DEFAULT_CAP))
+    try:
+        return int(os.environ.get(CAP_ENV, DEFAULT_CAP))
+    except ValueError:
+        raise MalformedToken("%s must be an integer, got %r" % (CAP_ENV, os.environ[CAP_ENV])) from None
 
 
 @dataclass(frozen=True)

@@ -74,34 +74,41 @@ def parse_root(text: str, lattice_type: str) -> Root:
     return Root(lattice_type, "diff", b, a)
 
 
+def _ends(r: Root) -> tuple[int, int, int]:
+    """(a, s, b) with r = e_a + s*e_b, a >= b >= 0 and e_0 = 0: a short
+    root is e_a + e_0 and a long root e_a + e_a."""
+    if r.kind in ("diff", "sum"):
+        return r.j, 1 if r.kind == "sum" else -1, r.i
+    return r.i, 1, r.i if r.kind == "long" else 0
+
+
+def _valley(r: Root, n: int) -> tuple[int, int]:
+    """The valley (i, j) of the root on a ballot path of sign +1: i East
+    steps before the j-th North step."""
+    a, s, b = _ends(r)
+    return n + 1 - a, n + 1 - b if s < 0 else n + b + (r.lattice_type == "B")
+
+
 def to_vector(root: Root, n: int) -> tuple[int, ...]:
-    v = [0] * n
-    if root.kind == "diff":
-        v[root.i - 1], v[root.j - 1] = -1, 1
-    elif root.kind == "sum":
-        v[root.i - 1], v[root.j - 1] = 1, 1
-    elif root.kind == "short":
-        v[root.i - 1] = 1
-    else:
-        v[root.i - 1] = 2
-    return tuple(v)
+    a, s, b = _ends(root)
+    v = [0] * (n + 1)
+    v[a] += 1
+    v[b] += s
+    return tuple(v[1:])
+
+
+@lru_cache(maxsize=64)
+def _lookup(lattice_type: str, n: int, key) -> dict:
+    """{key(r, n): r} over the positive roots, for key to_vector or _valley."""
+    return {key(r, n): r for r in positive_roots(lattice_type, n)}
 
 
 def root_from_vector(vec, lattice_type: str) -> Root:
-    nz = [(i + 1, c) for i, c in enumerate(vec) if c]
-    if len(nz) == 1:
-        i, c = nz[0]
-        if c == 1 and lattice_type == "B":
-            return Root("B", "short", i)
-        if c == 2 and lattice_type == "C":
-            return Root("C", "long", i)
-    elif len(nz) == 2:
-        (i, ci), (j, cj) = nz
-        if ci == cj == 1:
-            return Root(lattice_type, "sum", i, j)
-        if ci == -1 and cj == 1:
-            return Root(lattice_type, "diff", i, j)
-    raise TypeMismatch("%r is not a positive root vector of type %s" % (tuple(vec), lattice_type))
+    vec = tuple(vec)
+    root = _lookup(lattice_type, len(vec), to_vector).get(vec)
+    if root is None:
+        raise TypeMismatch("%r is not a positive root vector of type %s" % (vec, lattice_type))
+    return root
 
 
 def is_positive_root_vector(vec) -> bool:
@@ -198,79 +205,40 @@ def _ballot_rank(p: Path, lattice_type: str) -> int:
     return _poset_spec(lattice_type).target_rank(p)
 
 
-def _pm_root(lattice_type: str, a: int, coeff: int) -> Root:
-    """The root e_a + coeff*e_1 with coeff in {+1, -1} and a >= 2."""
-    return Root(lattice_type, "sum" if coeff > 0 else "diff", 1, a)
-
-
 def ballot_to_antichain(p: Path, lattice_type: str) -> tuple[Root, ...]:
-    """The antichain whose valleys are those of the ballot path."""
+    """The antichain whose valleys are those of the ballot path.  In D the
+    roots e_a - e_1 and e_a + e_1 sit before North steps n and n + 1: a
+    path of sign -1 swaps them, and on an unsigned path the valley before
+    North step n stands for both."""
     n = _ballot_rank(p, lattice_type)
+    table = _lookup(lattice_type, n, _valley)
     out = []
-    if lattice_type in ("B", "C"):
-        for i, j in valleys(p):
-            a, b = n + 1 - i, j - n - (lattice_type == "B")
-            if j <= n:
-                out.append(Root(lattice_type, "diff", n + 1 - j, a))
-            elif b == 0:
-                out.append(Root(lattice_type, "short", a))
-            elif a == b:
-                out.append(Root(lattice_type, "long", a))
-            else:
-                out.append(Root(lattice_type, "sum", min(a, b), max(a, b)))
-    else:
-        eps = sign_of(p)
-        # the n-th North step is followed by an East step iff that step is signed
-        followed = p.sign_pos is not None
-        for i, j in valleys(p):
-            if j <= n - 1:
-                out.append(Root("D", "diff", n + 1 - j, n + 1 - i))
-            elif j == n:
-                if followed:
-                    out.append(_pm_root("D", n + 1 - i, -eps))
-                else:
-                    out.append(_pm_root("D", n + 1 - i, 1))
-                    out.append(_pm_root("D", n + 1 - i, -1))
-            elif j == n + 1:
-                out.append(_pm_root("D", n + 1 - i, eps))
-            else:
-                out.append(Root("D", "sum", j - n, n + 1 - i))
+    for i, j in valleys(p):
+        if lattice_type == "D" and j in (n, n + 1):
+            if p.sign_pos is None:
+                out.append(table[i, n + 1])
+            elif sign_of(p) < 0:
+                j = 2 * n + 1 - j
+        out.append(table[i, j])
     return tuple(sorted(out))
-
-
-def _first_valleys(roots, n: int):
-    """Type D: the valleys of the roots e_a + e_1 and e_a - e_1, and the
-    sign of the path."""
-    first = sorted((r.j, r.kind) for r in roots if r.i == 1)
-    if not first:
-        return [], 1
-    (a, kind), rest = first[0], first[1:]
-    if rest and rest[0][0] == a:
-        # the pair e_a + e_1, e_a - e_1: no East step follows the n-th North
-        # step, so the path carries no sign
-        return [(n + 1 - a, n)], 1
-    return [(n + 1 - a, n + 1)] + [(n + 1 - b, n) for b, _ in rest], 1 if kind == "sum" else -1
 
 
 def antichain_to_ballot(roots, lattice_type: str, n: int) -> Path:
     """Inverse of ballot_to_antichain: each root gives back its valley, and
-    the sorted valleys give the path."""
+    the sorted valleys give the path.  In D the e_1 root with the smallest
+    a fixes the sign, e_a + e_1 meaning +1; a pair e_a - e_1, e_a + e_1
+    gives valleys (i, n) and (i, n + 1), and the second adds no East step,
+    so the n-th North step is followed by none and the path is unsigned."""
     roots = tuple(sorted(roots))
     _check_roots(roots, lattice_type, n)
     if not is_antichain(roots, n):
         raise NotAntichain("%r is not an antichain" % (roots,))
-    vs, sign = _first_valleys(roots, n) if lattice_type == "D" else ([], 1)
-    for r in roots:
-        if lattice_type == "D" and r.i == 1:
-            continue
-        if r.kind == "diff":
-            vs.append((n + 1 - r.j, n + 1 - r.i))
-        elif r.kind == "sum":
-            vs.append((n + 1 - r.j, n + r.i + (lattice_type == "B")))
-        elif r.kind == "long":
-            vs.append((n + 1 - r.i, n + r.i))
-        else:
-            vs.append((n + 1 - r.i, n + 1))
+    vs = [_valley(r, n) for r in roots]
+    # D's e_1 roots sit before North step n or n + 1, the last one with the smallest a
+    first = max((v for v in vs if lattice_type == "D" and v[1] in (n, n + 1)), default=(0, n + 1))
+    sign = 1 if first[1] > n else -1
+    if sign < 0:
+        vs = [(i, 2 * n + 1 - j if j in (n, n + 1) else j) for i, j in vs]
     length = 2 * n - 1 if lattice_type == "D" else 2 * n
     steps: list[str] = []
     north = east = 0
@@ -293,9 +261,8 @@ def root_form(r: Root) -> tuple[int, int, int, int]:
     permutation w sends r to a positive root iff a*w[i] + b*w[j] > 0.  The
     image of c_i e_i + c_j e_j has its highest slot at the larger of |w[i]|
     and |w[j]|, so the sign of c_i w[i] + c_j w[j] decides."""
-    if r.kind in ("short", "long"):
-        return (r.i - 1, 1, 0, 0)
-    return (r.j - 1, 1, r.i - 1, 1 if r.kind == "sum" else -1)
+    a, s, b = _ends(r)
+    return (a - 1, 1, b - 1, s) if 0 < b < a else (a - 1, 1, 0, 0)
 
 
 def antichain_forms(p: Path, lattice_type: str):

@@ -87,10 +87,9 @@ def zeta_path(p: Path, lattice_type: str) -> Path:
     writing N and j+1 E; the levels run down to 0.  B puts an N before the
     second run of level 0, B and D drop the last step, and D's sign is the
     parity of the positive entries."""
-    spec = type_spec(lattice_type)
-    n = spec.source_rank(p)
-    kind = spec.target.kind(n)
     mu = area_vector(p, lattice_type)
+    n = len(mu)
+    kind = type_spec(lattice_type).target.kind(n)
     if lattice_type == "A":
         runs = [""] * (n + 1)
         for v in mu:

@@ -297,6 +297,41 @@ def _path_from_valleys(vs, lattice_type: str, n: int, sign: int, want_slot: bool
     return lifted if lifted.sign == sign else None
 
 
+def ballot_to_antichain_by_cases(p: Path, lattice_type: str) -> tuple[Root, ...]:
+    """ballot_to_antichain stated case by case: a valley (i, j) gives
+    e_{n+1-i} - e_{n+1-j} below the diagonal and a short, long or sum root
+    above it; in D the valleys before North steps n and n + 1 give
+    e_a -+ e_1 by the path's sign, or both on an unsigned path."""
+    n = type_spec(lattice_type).target_rank(p)
+    out = []
+    if lattice_type in ("B", "C"):
+        for i, j in valleys(p):
+            a, b = n + 1 - i, j - n - (lattice_type == "B")
+            if j <= n:
+                out.append(Root(lattice_type, "diff", n + 1 - j, a))
+            elif b == 0:
+                out.append(Root(lattice_type, "short", a))
+            elif a == b:
+                out.append(Root(lattice_type, "long", a))
+            else:
+                out.append(Root(lattice_type, "sum", min(a, b), max(a, b)))
+        return tuple(sorted(out))
+    eps = sign_of(p)
+    # the n-th North step is followed by an East step iff that step is signed
+    followed = p.sign_pos is not None
+    for i, j in valleys(p):
+        a = n + 1 - i
+        if j <= n - 1:
+            out.append(Root("D", "diff", n + 1 - j, a))
+        elif j == n and not followed:
+            out += [Root("D", "sum", 1, a), Root("D", "diff", 1, a)]
+        elif j in (n, n + 1):
+            out.append(Root("D", "sum" if (eps if j == n + 1 else -eps) > 0 else "diff", 1, a))
+        else:
+            out.append(Root("D", "sum", j - n, a))
+    return tuple(sorted(out))
+
+
 def antichain_to_ballot_by_search(roots, lattice_type: str, n: int) -> Path:
     """Inverse of ballot_to_antichain: try every product of candidate
     valleys, one or two per root, and keep the path whose antichain is the
@@ -354,7 +389,7 @@ def antichain_to_ballot_by_search(roots, lattice_type: str, n: int) -> Path:
         if len(set(vs)) != len(vs):
             continue
         p = _path_from_valleys(vs, lattice_type, n, eps, want)
-        if p is not None and ballot_to_antichain(p, lattice_type) == roots:
+        if p is not None and ballot_to_antichain_by_cases(p, lattice_type) == roots:
             return p
     raise NotAntichain("no ballot path of rank %d realizes %r" % (n, roots))
 

@@ -113,6 +113,13 @@ def test_verify_exit_codes(capsys):
     assert "cap" in err
 
 
+def test_verify_with_a_malformed_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ZETAKIT_CAP", "1e9")
+    code, out, err = run(capsys, "verify", "--type", "C", "--n", "2")
+    assert (code, out) == (2, "")
+    assert "parse error" in err and "ZETAKIT_CAP" in err
+
+
 def test_verify_check_subset(capsys):
     code, out, _ = run(
         capsys, "verify", "--type", "D", "--n", "3", "--check", "bijectivity,uniform"

@@ -18,7 +18,7 @@ from zetakit.paths import enumerate_paths, lattice, parse_path
 from zetakit.rootposet import to_parking_function
 from zetakit.signedperm import SignedPermutation, count_positive
 from zetakit.stats import area_prime_forms, dinv_c_prime_forms
-from zetakit.typespec import CHECKS, LABELLED_CHECKS, modulus, type_spec
+from zetakit.typespec import CHECKS, LABELLED_CHECKS, TypeSpec, modulus, type_spec
 from zetakit.verify import run_suite
 
 from oracles import LABELLED_ORACLES, PER_LABELLING_ORACLES, UNLABELLED_ORACLES, group_windows, passing, passing_bits
@@ -559,6 +559,34 @@ def test_d_bijectivity_computes_one_zeta_per_source_path(monkeypatch):
     monkeypatch.setattr(zmod, "zeta_path", zeta_counted)
     assert run_suite("D", 3, ["bijectivity"]).passed
     assert sorted(images, key=str) == sorted((p for n in (2, 3) for p in type_spec("D").sources(n)), key=str)
+
+
+def test_the_target_phase_renders_each_target_once(monkeypatch):
+    true_render = labelled.render_path
+    rendered = []
+    monkeypatch.setattr(labelled, "render_path", lambda p: rendered.append(p) or true_render(p))
+    names = ["counting", "bijectivity", "labelled_bijectivity", "inverse_roundtrip"]
+    assert all(outcome is None for outcome, _ in run_pass("C", 3, names).values())
+    spec = type_spec("C")
+    # one key per source image, then one per target, however many checks read it
+    assert rendered == [zmod.zeta_path(p, "C") for p in spec.sources(3)] + list(spec.targets(3))
+
+
+@pytest.mark.parametrize("lt", "ABCD")
+def test_zeta_reads_the_rank_of_a_path_once(monkeypatch, lt):
+    true_rank, ranked = TypeSpec.source_rank, []
+
+    def rank_counted(spec, p):
+        ranked.append(p)
+        return true_rank(spec, p)
+
+    monkeypatch.setattr(TypeSpec, "source_rank", rank_counted)
+    sources = list(type_spec(lt).sources(3))
+    ranked.clear()
+    for p in sources:
+        zmod.zeta_path(p, lt)
+    # the rank is the length of the area vector, whose path read checks it
+    assert ranked == sources
 
 
 def test_checks_without_a_target_test_skip_the_targets(monkeypatch):

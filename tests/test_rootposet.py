@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from zetakit import rootposet
 from zetakit.errors import InvalidLabelling, NotAntichain, RankMismatch, TypeMismatch
 from zetakit.paths import ballot, enumerate_paths, parse_path, signed_ballot
 from zetakit.rootposet import (
@@ -16,16 +17,19 @@ from zetakit.rootposet import (
     positive_roots,
     reflection,
     root_form,
+    root_from_vector,
     to_parking_function,
     to_vector,
 )
 from zetakit.signedperm import SignedPermutation, passes, weyl_group
+from zetakit.typespec import type_spec
 
 from oracles import (
     B_ANTICHAIN,
     C_ANTICHAIN,
     D_ANTICHAINS,
     antichain_to_ballot_by_search,
+    ballot_to_antichain_by_cases,
     count_antichains,
     diag_validate_by_valleys,
     leq_by_definition,
@@ -116,6 +120,39 @@ def test_antichain_to_ballot_matches_search(lt, n):
     for p in enumerate_paths(kind):
         A = ballot_to_antichain(p, lt)
         assert antichain_to_ballot(A, lt, n) == antichain_to_ballot_by_search(A, lt, n) == p
+
+
+@pytest.mark.parametrize("lt", "BCD")
+def test_ballot_to_antichain_is_the_case_by_case_rule(lt):
+    # the valley table against every case written out, on every target
+    spec = type_spec(lt)
+    for n in range(spec.min_rank, 8):
+        for p in spec.targets(n):
+            assert ballot_to_antichain(p, lt) == ballot_to_antichain_by_cases(p, lt), p
+
+
+@pytest.mark.parametrize("lt", "BCD")
+def test_each_positive_root_has_its_own_valley(lt):
+    for n in range(type_spec(lt).min_rank, 9):
+        table = rootposet._lookup(lt, n, rootposet._valley)
+        assert len(table) == len(positive_roots(lt, n)) == (n * (n - 1) if lt == "D" else n * n)
+
+
+@pytest.mark.parametrize("lt", "BCD")
+def test_root_from_vector_inverts_to_vector(lt):
+    for n in range(1, 7):
+        for r in positive_roots(lt, n):
+            assert root_from_vector(to_vector(r, n), lt) == r
+
+
+@pytest.mark.parametrize("vec,lt", [
+    ((0, 0, 0), "C"), ((1, 1, 1), "B"), ((1, -1), "C"), ((-1, 0), "B"), ((0, -2), "C"),
+    ((1, 0), "C"), ((2, 0), "B"), ((0, 1), "D"), ((2, 2), "C"), ((1, 2), "C"), ((1, 1), "A"),
+    ((), "B"),
+])
+def test_root_from_vector_refuses_non_roots(vec, lt):
+    with pytest.raises(TypeMismatch):
+        root_from_vector(vec, lt)
 
 
 @pytest.mark.parametrize("call,error", [

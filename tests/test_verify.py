@@ -5,7 +5,7 @@ import pytest
 
 import zetakit.labelled as labelled
 
-from zetakit.errors import CapExceeded
+from zetakit.errors import CapExceeded, MalformedToken
 from zetakit.paths import lattice, parse_path, signed_lattice
 from zetakit.rootposet import to_parking_function
 from zetakit.torus import VertPath, enumerate_vert
@@ -105,6 +105,13 @@ def test_run_suite_deterministic():
 def test_run_suite_cap():
     with pytest.raises(CapExceeded):
         run_suite("C", 99, ["counting"])
+
+
+@pytest.mark.parametrize("cap", ["1e9", "ten", ""])
+def test_a_cap_that_is_no_integer_is_a_malformed_token(monkeypatch, cap):
+    monkeypatch.setenv("ZETAKIT_CAP", cap)
+    with pytest.raises(MalformedToken, match="ZETAKIT_CAP"):
+        run_suite("C", 2)
 
 
 def test_run_suite_unknown_check():
