@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import LatticeViolation, NotBijective, RankMismatch, Unsupported, json_choice, json_int, json_ints, json_window
+from .errors import LatticeViolation, NotBijective, RankMismatch, Unsupported, json_window
 from .signedperm import SignedPermutation
-from .typespec import TORUS_TYPES, type_spec
+from .typespec import TORUS_TYPES
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,8 @@ def _residue(v: int, K: int) -> int:
     return (v + n) % K - n
 
 
-def from_window(window, n: int | None = None) -> AffinePermutation:
-    window = tuple(window)
-    if n is not None and len(window) != n:
-        raise RankMismatch("window length %d, expected %d" % (len(window), n))
-    return AffinePermutation(window)
+def from_window(window) -> AffinePermutation:
+    return AffinePermutation(tuple(window))
 
 
 def coerce_affine(w) -> AffinePermutation:
@@ -156,10 +153,6 @@ def decompose(w: AffinePermutation) -> TranslationSplit:
         else:
             mu[-b - 1] = a
     return TranslationSplit(tuple(mu), tuple(nu), SignedPermutation(tuple(win)))
-
-
-def recompose(split: TranslationSplit) -> AffinePermutation:
-    return translation(split.mu).compose(coerce_affine(split.sigma))
 
 
 def is_grassmannian(w: AffinePermutation, lattice_type: str) -> bool:
@@ -264,19 +257,3 @@ def dominant_frame(lattice_type: str, n: int) -> AffinePermutation:
     """The affine element with parts dominant_frame_parts(type, n)."""
     shift, twist = dominant_frame_parts(lattice_type, n)
     return translation(shift).compose(coerce_affine(twist))
-
-
-def affine_to_json(w: AffinePermutation, lattice_type: str) -> dict:
-    return {"type": lattice_type, "n": w.n, "window": list(w.window)}
-
-
-def affine_from_json(d: dict) -> AffinePermutation:
-    """An affine permutation of type B, C or D from its JSON object:
-    MalformedToken for another type, RankMismatch below the type's smallest
-    rank and LatticeViolation outside the type's group."""
-    w = from_window(json_ints(d, "window"), json_int(d, "n") if "n" in d else None)
-    lattice_type = json_choice(d, "type", TORUS_TYPES)
-    type_spec(lattice_type).check_rank(w.n)
-    if not in_group(w, lattice_type):
-        raise LatticeViolation("window %r is not in the type %s group" % (w.window, lattice_type))
-    return w

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and JSON field lookups."""
+"""Exception types shared across the package, and the parser of window text."""
 
 import json
 
@@ -59,55 +59,14 @@ class InternalError(ZetakitError):
     """An invariant that should be unreachable was violated."""
 
 
-def json_field(d, key: str):
-    """d[key] of a decoded JSON object; MalformedToken when d has no such key
-    or is not an object."""
-    try:
-        return d[key]
-    except (KeyError, TypeError):
-        raise MalformedToken("no key %r in %r" % (key, d)) from None
-
-
-def json_int(d, key: str) -> int:
-    """An integer field of a decoded JSON object; MalformedToken for any
-    other value, booleans included."""
-    v = json_field(d, key)
-    if type(v) is not int:
-        raise MalformedToken("%r must be an integer, got %r" % (key, v))
-    return v
-
-
-def json_ints(d, key: str) -> tuple[int, ...]:
-    """A field holding a list of integers, as a tuple."""
-    v = json_field(d, key)
-    if not isinstance(v, list) or any(type(x) is not int for x in v):
-        raise MalformedToken("%r must be a list of integers, got %r" % (key, v))
-    return tuple(v)
-
-
-def json_str(d, key: str) -> str:
-    """A string field of a decoded JSON object."""
-    v = json_field(d, key)
-    if not isinstance(v, str):
-        raise MalformedToken("%r must be a string, got %r" % (key, v))
-    return v
-
-
 def json_window(text: str) -> tuple[int, ...]:
     """The integers of a window written as a JSON list: MalformedToken for
-    text that is not JSON, NotBijective for any other value."""
+    text that is not JSON or nests too deeply to parse, NotBijective for any
+    other value."""
     try:
         window = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise MalformedToken("%r is not JSON: %s" % (text, e)) from None
     if not isinstance(window, list) or not all(type(v) is int for v in window):
         raise NotBijective("%r is not a list of integers" % (text,))
     return tuple(window)
-
-
-def json_choice(d, key: str, choices: tuple[str, ...]) -> str:
-    """A string field that must be one of the choices."""
-    v = json_str(d, key)
-    if v not in choices:
-        raise MalformedToken("%r must be one of %s, got %r" % (key, ", ".join(choices), v))
-    return v

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import CapExceeded, MalformedToken, ShapeMismatch, ShapeViolation, json_int, json_str
+from .errors import CapExceeded, MalformedToken, ShapeMismatch, ShapeViolation
 
 N = "N"
 E = "E"
@@ -87,10 +87,6 @@ class Path:
 def sign_of(p: Path) -> int:
     """The sign of a path: -1 iff it contains an E- step."""
     return -1 if (p.sign_pos is not None and p.sign < 0) else 1
-
-
-def north_count(p: Path) -> int:
-    return sum(1 for s in p.steps if s == N)
 
 
 def tokens(p: Path) -> tuple[str, ...]:
@@ -220,21 +216,6 @@ def path_to_json(p: Path) -> dict:
         d["n"] = p.kind.params[0]
     d["steps"] = render_path(p)
     return d
-
-
-def path_from_json(d: dict) -> Path:
-    shape = json_str(d, "kind")
-    if shape == "lattice":
-        kind = lattice(json_int(d, "a"), json_int(d, "b"))
-    elif shape == "ballot":
-        kind = ballot(json_int(d, "len"))
-    elif shape == "signed_lattice":
-        kind = signed_lattice(json_int(d, "n"))
-    elif shape == "signed_ballot":
-        kind = signed_ballot(json_int(d, "n"))
-    else:
-        raise MalformedToken("unknown kind %r" % shape)
-    return parse_path(json_str(d, "steps"), kind)
 
 
 def rises(p: Path) -> list[int]:

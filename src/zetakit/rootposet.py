@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    InternalError,
     InvalidLabelling,
     NotAntichain,
     RankMismatch,
@@ -109,15 +108,6 @@ def root_from_vector(vec, lattice_type: str) -> Root:
     if root is None:
         raise TypeMismatch("%r is not a positive root vector of type %s" % (vec, lattice_type))
     return root
-
-
-def is_positive_root_vector(vec) -> bool:
-    """Roots of types B/C/D are positive iff the highest nonzero
-    coordinate is positive."""
-    for c in reversed(tuple(vec)):
-        if c:
-            return c > 0
-    return False
 
 
 @lru_cache(maxsize=64)
@@ -298,32 +288,3 @@ def to_parking_function(p: Path, w: SignedPermutation, lattice_type: str) -> Par
     if not passes(w.window, *_forms(roots, lattice_type)):
         raise InvalidLabelling("labels %s do not fit the valleys of %s" % (w, p))
     return ParkingFunction(w, roots)
-
-
-def roots_to_json(roots) -> list[str]:
-    return [str(r) for r in sorted(roots)]
-
-
-def roots_from_json(texts, lattice_type: str) -> tuple[Root, ...]:
-    return tuple(sorted(parse_root(t, lattice_type) for t in texts))
-
-
-def reflection(root: Root, n: int) -> SignedPermutation:
-    """The reflection through the hyperplane orthogonal to the root."""
-    return reflection_from_vector(to_vector(root, n), n)
-
-
-def reflection_from_vector(vec, n: int) -> SignedPermutation:
-    nz = [(i + 1, c) for i, c in enumerate(vec) if c]
-    win = list(range(1, n + 1))
-    if len(nz) == 1:
-        win[nz[0][0] - 1] = -nz[0][0]
-    elif len(nz) == 2:
-        (i, ci), (j, cj) = nz
-        if ci * cj < 0:
-            win[i - 1], win[j - 1] = j, i
-        else:
-            win[i - 1], win[j - 1] = -j, -i
-    else:
-        raise InternalError("not a root vector: %r" % (vec,))
-    return SignedPermutation(tuple(win))

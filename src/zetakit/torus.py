@@ -17,11 +17,11 @@ from functools import lru_cache
 
 from . import paths
 from .affine import _residue
-from .errors import InvalidLabelling, NotRepresentative, RankMismatch, json_choice, json_ints
+from .errors import InvalidLabelling, NotRepresentative, RankMismatch
 from .paths import Path, east_counts, path_of_east_counts, rises, sign_of
 from .rootposet import highest_root_vector, root_from_vector, simple_root_vectors
 from .signedperm import SignedPermutation, passes, weyl_group
-from .typespec import TORUS_TYPES, min_rank, modulus, type_spec  # noqa: F401  (min_rank is re-exported)
+from .typespec import modulus, type_spec
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,6 @@ def torus_element(lattice_type: str, vector) -> TorusElement:
     vec = tuple(vector)
     m = modulus(lattice_type, len(vec))
     return TorusElement(lattice_type, tuple(v % m for v in vec))
-
-
-def torus_to_json(t: TorusElement) -> dict:
-    return {"type": t.lattice_type, "n": t.n, "mod": t.mod, "coords": list(t.coords)}
-
-
-def torus_from_json(d: dict) -> TorusElement:
-    """A torus element of type B, C or D from its JSON object: MalformedToken
-    for another type, RankMismatch below the type's smallest rank."""
-    return torus_element(json_choice(d, "type", TORUS_TYPES), json_ints(d, "coords"))
 
 
 Wall = namedtuple("Wall", "root i a j b bound")
@@ -163,7 +153,7 @@ class VertPath:
 
 
 def _twist_signs(p: Path, lam: tuple[int, ...], lattice_type: str) -> list[int]:
-    """The signs label_twist puts on the label slots: where the coroot
+    """The signs the label twist puts on the label slots: where the coroot
     lattice has even sums the last slot flips when lam[-2] + lam[-1] is odd
     (lambda_of_path then reflects the last coordinate in the affine wall),
     and the first slot flips on a negative path."""
@@ -207,15 +197,9 @@ def vert(p: Path, v: SignedPermutation, lattice_type: str) -> VertPath:
     return VertPath(p, v)
 
 
-def label_twist(vp: VertPath, lattice_type: str) -> SignedPermutation:
-    """The group element acting on the representative: the labels with the
-    signs of _twist_signs."""
-    if lattice_type == "A":
-        return vp.labels
-    return _twisted(vp, lambda_of_path(vp.path, lattice_type), lattice_type)
-
-
 def _twisted(vp: VertPath, lam: tuple[int, ...], lattice_type: str) -> SignedPermutation:
+    """The group element acting on the representative lam of vp's path: the
+    labels with the signs of _twist_signs."""
     s = _twist_signs(vp.path, lam, lattice_type)
     if -1 not in s:
         return vp.labels

@@ -117,7 +117,7 @@ TYPES = {
     "B": TypeSpec("B", SQUARE, EVEN_BALLOT, False, 2, 1, "B", _SIGNED_CHECKS, True),
     "C": TypeSpec("C", SQUARE, EVEN_BALLOT, False, 1, 1, "C", CHECKS),
     # labels of a type D path run over the full signed group; their sign
-    # twist (torus.label_twist) is the element of the even group
+    # twist (torus._twist_signs) is the element of the even group
     "D": TypeSpec("D", SIGNED_LATTICE, SIGNED_BALLOT, False, 2, -1, "B", _SIGNED_CHECKS, True, True),
 }
 
@@ -134,8 +134,3 @@ def type_spec(lattice_type: str) -> TypeSpec:
 
 def modulus(lattice_type: str, n: int) -> int:
     return type_spec(lattice_type).modulus(n)
-
-
-def min_rank(lattice_type: str) -> int:
-    """Smallest rank the path models support."""
-    return type_spec(lattice_type).min_rank

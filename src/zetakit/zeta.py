@@ -136,7 +136,7 @@ def reading_word(vp: VertPath, lattice_type: str) -> SignedPermutation:
     lam = lambda_of_path(vp.path, lattice_type)
     frame = _frame(lattice_type, n)
     mu = [s * (lam[i] - c) for i, s, c in frame]
-    # the labels' own twist, the signs torus.label_twist puts on them, is
+    # the labels' own twist, the signs torus._twist_signs puts on them, is
     # stated here and not read from torus: the uniform oracle reads it from
     # torus, so a fault in either copy shows as a disagreement
     u = list(win)

@@ -15,6 +15,7 @@ from functools import lru_cache
 from zetakit import paths, stats, zeta
 from zetakit.affine import (
     AffinePermutation,
+    TranslationSplit,
     _residue,
     coerce_affine,
     decompose,
@@ -23,7 +24,7 @@ from zetakit.affine import (
     grassmannian_companion,
     translation,
 )
-from zetakit.errors import InvalidLabelling, NotAntichain, NotRepresentative, ZetakitError
+from zetakit.errors import InternalError, InvalidLabelling, NotAntichain, NotRepresentative, ZetakitError
 from zetakit.labelled import _rise_template, _signed, _text, _valley_template
 from zetakit.paths import (
     E,
@@ -34,7 +35,6 @@ from zetakit.paths import (
     is_dyck,
     lattice,
     make_path,
-    north_count,
     render_path,
     rises,
     sign_of,
@@ -44,15 +44,13 @@ from zetakit.rootposet import (
     Root,
     ballot_to_antichain,
     highest_root_vector,
-    is_positive_root_vector,
     positive_roots,
-    reflection_from_vector,
     simple_root_vectors,
     to_parking_function,
     to_vector,
 )
 from zetakit.signedperm import SignedPermutation, weyl_group
-from zetakit.torus import TorusElement, VertPath, enumerate_vert, label_twist, lambda_of_path, wall_images, wall_roots
+from zetakit.torus import TorusElement, VertPath, _twisted, enumerate_vert, lambda_of_path, wall_images, wall_roots
 from zetakit.typespec import TypeSpec, modulus, type_spec
 from zetakit.verify import anderson_check, uniform_oracle
 
@@ -409,6 +407,10 @@ def _east_before_each_north(p: Path):
         else:
             pis.append(e_seen)
     return pis
+
+
+def north_count(p: Path) -> int:
+    return sum(1 for s in p.steps if s == N)
 
 
 def area_by_boxes(p: Path) -> int:
@@ -902,6 +904,14 @@ def _misfit(d, word) -> InvalidLabelling:
     return InvalidLabelling("labels %s do not fit the valleys of %s" % (_text(word), d.image))
 
 
+def label_twist(vp: VertPath, lattice_type: str) -> SignedPermutation:
+    """The group element acting on the representative: the labels with the
+    signs of torus._twist_signs."""
+    if lattice_type == "A":
+        return vp.labels
+    return _twisted(vp, lambda_of_path(vp.path, lattice_type), lattice_type)
+
+
 def _group_side(d):
     """lam, the slots of the label twist, mu and sigma of the path of d."""
     lam = lambda_of_path(d.path, d.lt)
@@ -970,6 +980,10 @@ PER_LABELLING_ORACLES = {
 # the affine action and inverse through the split w = t(mu) * sigma
 
 
+def recompose(split: TranslationSplit) -> AffinePermutation:
+    return translation(split.mu).compose(coerce_affine(split.sigma))
+
+
 def inverse_by_split(w: AffinePermutation) -> AffinePermutation:
     """w^-1 = sigma^-1 * t(-mu): sigma^-1(i) + mu_i * K in slot i."""
     split, K = decompose(w), w.period
@@ -981,6 +995,40 @@ def act_by_split(w: AffinePermutation, x) -> tuple[int, ...]:
     """Apply the finite part sigma, then translate by mu."""
     split = decompose(w)
     return tuple(a + b for a, b in zip(split.sigma.act(x), split.mu))
+
+
+# ---------------------------------------------------------------------------
+# root vectors: positivity and reflections
+
+
+def is_positive_root_vector(vec) -> bool:
+    """Roots of types B/C/D are positive iff the highest nonzero
+    coordinate is positive."""
+    for c in reversed(tuple(vec)):
+        if c:
+            return c > 0
+    return False
+
+
+def reflection(root: Root, n: int) -> SignedPermutation:
+    """The reflection through the hyperplane orthogonal to the root."""
+    return reflection_from_vector(to_vector(root, n), n)
+
+
+def reflection_from_vector(vec, n: int) -> SignedPermutation:
+    nz = [(i + 1, c) for i, c in enumerate(vec) if c]
+    win = list(range(1, n + 1))
+    if len(nz) == 1:
+        win[nz[0][0] - 1] = -nz[0][0]
+    elif len(nz) == 2:
+        (i, ci), (j, cj) = nz
+        if ci * cj < 0:
+            win[i - 1], win[j - 1] = j, i
+        else:
+            win[i - 1], win[j - 1] = -j, -i
+    else:
+        raise InternalError("not a root vector: %r" % (vec,))
+    return SignedPermutation(tuple(win))
 
 
 # ---------------------------------------------------------------------------

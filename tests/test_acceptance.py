@@ -15,7 +15,6 @@ from zetakit.affine import (
     decompose,
     dominant_frame,
     is_grassmannian,
-    recompose,
     translation,
 )
 from zetakit.errors import NotBijective
@@ -52,6 +51,7 @@ from oracles import (
     C_ZETA,
     D_EXAMPLES,
     FRAME_WINDOWS,
+    recompose,
     sp,
 )
 

@@ -196,6 +196,7 @@ def test_output_byte_stable(capsys):
     (["zeta", "--type", "D", "--path", "EEENNNNNE"], 3, "step 1 must be a signed East step"),
     (["zeta", "--type", "B", "--path", "NE+EENN"], 3, "no signed step allowed at step 2"),
     (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[1,"], 2, "parse error: '[1,' is not JSON"),
+    (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[" * 1000], 2, "parse error"),
 ])
 def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error):
     if argv[0] == "table":

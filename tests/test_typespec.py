@@ -65,7 +65,6 @@ def test_an_unsupported_type_or_request_is_a_typed_error(call):
 
 def test_torus_reexports_registry_functions():
     assert torus.modulus is typespec.modulus
-    assert torus.min_rank is typespec.min_rank
 
 
 @pytest.mark.parametrize("lt", "ABCD")

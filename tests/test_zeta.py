@@ -48,6 +48,7 @@ from oracles import (
     C_SWEEP_LABELS,
     C_ZETA,
     D_EXAMPLES,
+    label_twist,
     sp,
 )
 
@@ -143,7 +144,7 @@ def test_reading_word_is_twisted_product():
     """The reading word agrees with the product of the label twist, the
     frame twist and the Grassmannian companion."""
     from zetakit.affine import dominant_frame_parts, grassmannian_companion
-    from zetakit.torus import enumerate_vert, label_twist
+    from zetakit.torus import enumerate_vert
 
     for lt, n in [("C", 3), ("B", 3), ("D", 3), ("D", 4)]:
         _, tau = dominant_frame_parts(lt, n)
