@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the parser of window text."""
 
 import json
+import reprlib
 
 
 class ZetakitError(Exception):
@@ -62,11 +63,11 @@ class InternalError(ZetakitError):
 def json_window(text: str) -> tuple[int, ...]:
     """The integers of a window written as a JSON list: MalformedToken for
     text that is not JSON or nests too deeply to parse, NotBijective for any
-    other value."""
+    other value; the messages echo the text shortened by reprlib."""
     try:
         window = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
-        raise MalformedToken("%r is not JSON: %s" % (text, e)) from None
+        raise MalformedToken("%s is not JSON: %s" % (reprlib.repr(text), e)) from None
     if not isinstance(window, list) or not all(type(v) is int for v in window):
-        raise NotBijective("%r is not a list of integers" % (text,))
+        raise NotBijective("%s is not a list of integers" % reprlib.repr(text))
     return tuple(window)

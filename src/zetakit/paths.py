@@ -9,7 +9,6 @@ algorithms can work on the bare N/E sequence.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -132,6 +131,18 @@ def unsigned(kind: PathKind) -> PathKind:
     return kind
 
 
+@lru_cache(maxsize=256)
+def _plain(kind: PathKind) -> PathKind:
+    """The unsigned kind of a kind that has paths; ShapeViolation for an
+    unknown shape or a negative number of steps.  Cached like unsigned."""
+    plain = unsigned(kind)
+    if plain.shape not in ("lattice", "ballot"):
+        raise ShapeViolation("unknown path kind %s" % kind.shape)
+    if min(plain.params) < 0:
+        raise ShapeViolation("%s asks for a negative number of steps" % kind)
+    return plain
+
+
 def _east_allowed(east: int, north: int) -> bool:
     """The prefix rule of ballot and Dyck paths: an East step may follow a
     prefix with `east` East and `north` North steps."""
@@ -149,21 +160,29 @@ def _is_ballot(steps) -> bool:
     return True
 
 
-def _signed_slot(steps: tuple[str, ...], kind: PathKind) -> int | None:
-    """Index of the step that must carry a sign for this kind, if any."""
+def _slot_after(kind: PathKind) -> int | None:
+    """The one rule that places the sign: the signed step of a signed kind
+    is the East step right after its k-th North step, if there is one.
+    This is k: 0 in signed_lattice(n), where it is the first step, and n in
+    signed_ballot(n).  None for unsigned kinds."""
     if kind.shape == "signed_lattice":
-        return 0 if steps and steps[0] == E else None
+        return 0
     if kind.shape == "signed_ballot":
-        (n,) = kind.params
-        seen = 0
-        for i, s in enumerate(steps):
-            if s == N:
-                seen += 1
-                if seen == n:
-                    nxt = i + 1
-                    return nxt if nxt < len(steps) and steps[nxt] == E else None
-        return None
+        return kind.params[0]
     return None
+
+
+def _signed_slot(steps: tuple[str, ...], kind: PathKind) -> int | None:
+    """Index of the step that must carry a sign for this kind, if any: the
+    one right after the k-th North step (a ballot path of 2n-1 steps has at
+    least n), when it is an East step."""
+    k = _slot_after(kind)
+    if k is None:
+        return None
+    slot = 0
+    for _ in range(k):
+        slot = steps.index(N, slot) + 1
+    return slot if slot < len(steps) and steps[slot] == E else None
 
 
 def make_path(steps, kind: PathKind, sign: int = 1) -> Path:
@@ -171,9 +190,7 @@ def make_path(steps, kind: PathKind, sign: int = 1) -> Path:
     East step at the kind's slot carries the sign; a path with no such
     step ignores it."""
     steps = tuple(steps)
-    plain = unsigned(kind)
-    if plain.shape not in ("lattice", "ballot"):
-        raise ShapeViolation("unknown path kind %s" % kind.shape)
+    plain = _plain(kind)
     length = sum(plain.params)  # a + b for lattice(a, b)
     if len(steps) != length:
         raise ShapeViolation("expected %d steps for %s, got %d" % (length, kind, len(steps)))
@@ -298,8 +315,7 @@ def lift_signed(p: Path, sign: int = 1) -> Path:
 
 def count_paths(kind: PathKind) -> int:
     """Exact cardinality of the enumeration for this kind."""
-    if min(unsigned(kind).params) < 0:
-        raise ShapeViolation("%s asks for a negative number of steps" % kind)
+    _plain(kind)
     if kind.shape == "lattice":
         a, b = kind.params
         return math.comb(a + b, a)
@@ -313,66 +329,47 @@ def count_paths(kind: PathKind) -> int:
     if kind.shape == "signed_ballot":
         (n,) = kind.params
         return math.comb(2 * n - 1, n - 1) + math.comb(2 * n - 2, n)
-    raise ShapeViolation("unknown path kind %s" % kind.shape)
 
 
 def enumerate_paths(kind: PathKind) -> Iterator[Path]:
-    """Complete, duplicate-free stream in lexicographic text order.  A
-    signed kind lifts the stream of its unsigned kind: each unsigned path
-    once, or twice when it has a signed slot, where the E+ lifts of the
-    paths that share the steps up to the slot come before their E- lifts."""
+    """Complete, duplicate-free stream in lexicographic text order, from
+    one depth-first walk over the prefixes of the kind's paths that takes E
+    before N.  On a signed kind the walk takes the slot's East step twice,
+    E+ before E-.  The cap is checked when this is called."""
     limit = enumeration_cap()
     total = count_paths(kind)
     if total > limit:
         raise CapExceeded("%s has %d paths, cap is %d" % (kind, total, limit))
-    if unsigned(kind) == kind:
-        return (Path(steps, kind) for steps in _step_sequences(kind))
-    return _lifts(kind)
+    return _walk(kind)
 
 
-def _step_sequences(kind: PathKind, prefix: tuple[str, ...] = ()) -> Iterator[tuple[str, ...]]:
-    """The step tuples of an unsigned kind that start with the prefix, in
-    text order (E before N)."""
-    east = prefix.count(E)
-    if kind.shape == "lattice":
-        a, b = kind.params
-        for rest in itertools.combinations(range(len(prefix), a + b), a - east):
-            steps = list(prefix) + [N] * (a + b - len(prefix))
-            for i in rest:
-                steps[i] = E
-            yield tuple(steps)
-        return
-    (length,) = kind.params
-    # depth first over the prefixes that keep the prefix rule; the E branch
-    # is pushed last, so it is taken first
-    stack = [(prefix, east, len(prefix) - east)]
-    while stack:
-        prefix, east, north = stack.pop()
-        if east + north == length:
-            yield prefix
-            continue
-        stack.append((prefix + (N,), east, north + 1))
-        if _east_allowed(east, north):
-            stack.append((prefix + (E,), east + 1, north))
-
-
-def _lifts(kind: PathKind) -> Iterator[Path]:
-    """The paths of a signed kind over the step tuples of its unsigned kind.
-    The tuples that share the steps up to a slot follow each other in text
-    order; they are enumerated again for each sign, so that none is held in
-    memory, and then skipped in the stream."""
+def _walk(kind: PathKind) -> Iterator[Path]:
     plain = unsigned(kind)
-    stream = _step_sequences(plain)
-    for steps in stream:
-        slot = _signed_slot(steps, kind)
-        if slot is None:
-            yield Path(steps, kind)
+    length = sum(plain.params)
+    # lattice(a, b) has a East and b North steps; a ballot path of length
+    # L has at most L // 2 East steps, and the prefix rule bounds the rest
+    width, height = plain.params if plain.shape == "lattice" else (length // 2, length)
+    ballot_rule = plain.shape == "ballot"
+    k = _slot_after(kind)
+    # (prefix, east, north, sign_pos, sign); the branch pushed last is taken first
+    stack = [((), 0, 0, None, 1)]
+    while stack:
+        prefix, east, north, slot, sign = stack.pop()
+        if east == width or east + north == length:
+            # only North steps are left: one path, and no slot among them
+            yield Path(prefix + (N,) * (length - east - north), kind, slot, sign)
             continue
-        for sign in (1, -1):
-            size = 0
-            for lifted in _step_sequences(plain, steps[: slot + 1]):
-                size += 1
-                yield Path(lifted, kind, slot, sign)
-        # steps was the first of them
-        for _ in itertools.islice(stream, size - 1):
-            pass
+        if north == height:
+            # only East steps are left, on lattice kinds only: one path, and
+            # no slot among them, as a signed lattice path's is its first step
+            yield Path(prefix + (E,) * (width - east), kind, slot, sign)
+            continue
+        stack.append((prefix + (N,), east, north + 1, slot, sign))
+        if not ballot_rule or _east_allowed(east, north):
+            step = prefix + (E,)
+            if north == k and (not prefix or prefix[-1] == N):
+                # the step right after the k-th North step is the slot
+                stack.append((step, east + 1, north, east + north, -1))
+                stack.append((step, east + 1, north, east + north, 1))
+            else:
+                stack.append((step, east + 1, north, slot, sign))

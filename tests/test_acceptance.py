@@ -11,7 +11,6 @@ import pytest
 
 from zetakit.affine import (
     AffinePermutation,
-    coerce_affine,
     decompose,
     dominant_frame,
     is_grassmannian,
@@ -28,11 +27,10 @@ from zetakit.paths import (
     signed_ballot,
     signed_lattice,
 )
-from zetakit.signedperm import SignedPermutation
 from zetakit.stats import area, area_prime, dinv_c, dinv_c_prime
 from zetakit.torus import VertPath, enumerate_vert
 from zetakit.verify import anderson_windows, run_suite
-from zetakit.zeta import inverse_zeta_c, reading_word, sweep_labels, zeta_labelled, zeta_path
+from zetakit.zeta import sweep_labels, zeta_labelled, zeta_path
 
 from oracles import (
     B_EXAMPLES,

@@ -197,6 +197,9 @@ def test_output_byte_stable(capsys):
     (["zeta", "--type", "B", "--path", "NE+EENN"], 3, "no signed step allowed at step 2"),
     (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[1,"], 2, "parse error: '[1,' is not JSON"),
     (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[" * 1000], 2, "parse error"),
+    (["zeta", "--type", "D", "--path", ""], 3, "shape error: signed_lattice(0) asks for a negative number"),
+    (["zeta", "--type", "D", "--path", "", "--inverse"], 3, "shape error: signed_ballot(0) asks for a negative"),
+    (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[" + "1," * 399 + '"x"]'], 2, "parse error"),
 ])
 def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error):
     if argv[0] == "table":
@@ -204,6 +207,8 @@ def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert error in err
+    # one short line, however long the argument
+    assert len(err.encode()) < 200
 
 
 _TYPES = st.sampled_from("ABCD")

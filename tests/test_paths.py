@@ -146,6 +146,8 @@ def test_enumeration_complete_and_sorted(kind):
     [lattice(a, b) for a in range(7) for b in range(7)]
     + [ballot(length) for length in range(15)]
     + [make(n) for n in range(1, 9) for make in (signed_lattice, signed_ballot)]
+    # the rank-8 kinds that the benchmark and CI walk
+    + [lattice(8, 8), lattice(7, 8), ballot(16), ballot(15)]
 ), ids=str)
 def test_enumeration_matches_the_oracle_recursion(kind):
     assert list(enumerate_paths(kind)) == enumerate_paths_by_recursion(kind)
@@ -196,12 +198,17 @@ def test_negative_kinds_are_shape_violations(kind):
         count_paths(kind)
     with pytest.raises(ShapeViolation):
         enumerate_paths(kind)
+    with pytest.raises(ShapeViolation, match="negative number of steps"):
+        make_path((), kind)
+    with pytest.raises(ShapeViolation, match="negative number of steps"):
+        parse_path("", kind)
 
 
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("ZETAKIT_CAP", "100")
+    # raised by the call itself, before the stream is iterated
     with pytest.raises(CapExceeded):
-        list(enumerate_paths(lattice(20, 20)))
+        enumerate_paths(lattice(20, 20))
 
 
 @pytest.mark.parametrize("kind", [

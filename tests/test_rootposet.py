@@ -6,7 +6,6 @@ from zetakit import rootposet
 from zetakit.errors import InvalidLabelling, NotAntichain, RankMismatch, TypeMismatch
 from zetakit.paths import ballot, enumerate_paths, parse_path, signed_ballot
 from zetakit.rootposet import (
-    Root,
     antichain_to_ballot,
     ballot_to_antichain,
     diag_validate,
@@ -19,7 +18,7 @@ from zetakit.rootposet import (
     to_parking_function,
     to_vector,
 )
-from zetakit.signedperm import SignedPermutation, passes, weyl_group
+from zetakit.signedperm import passes, weyl_group
 from zetakit.typespec import type_spec
 
 from oracles import (

@@ -6,7 +6,7 @@ import pytest
 import zetakit.labelled as labelled
 
 from zetakit.errors import CapExceeded, MalformedToken
-from zetakit.paths import lattice, parse_path, signed_lattice
+from zetakit.paths import lattice, parse_path
 from zetakit.rootposet import to_parking_function
 from zetakit.torus import VertPath, enumerate_vert
 from zetakit.typespec import CHECKS
