@@ -40,23 +40,29 @@ def _cmd_zeta(args) -> int:
     spec = type_spec(lt)
     # a path kind of rank n has 2n - 1 or 2n steps
     n = (args.path.count("N") + args.path.count("E") + 1) // 2
+    kind = (spec.target if args.inverse else spec.source).kind(n)
+    try:
+        path = parse_path(args.path, kind)
+    except ShapeViolation:
+        # a path too short for its type is refused for its rank, as the
+        # maps refuse it, also where the kind has no paths at all
+        spec.kind_rank(n, kind)
+        raise
     if args.inverse:
-        target = parse_path(args.path, spec.target.kind(n))
-        out = {"type": lt, "input": path_to_json(target), "preimage": path_to_json(zeta.inverse_zeta(target, lt))}
+        out = {"type": lt, "input": path_to_json(path), "preimage": path_to_json(zeta.inverse_zeta(path, lt))}
         print(json.dumps(out))
         return 0
-    source = parse_path(args.path, spec.source.kind(n))
     out = {
         "type": lt,
-        "input": path_to_json(source),
-        "area_vector": list(zeta.area_vector(source, lt)),
-        "zeta": path_to_json(zeta.zeta_path(source, lt)),
+        "input": path_to_json(path),
+        "area_vector": list(zeta.area_vector(path, lt)),
+        "zeta": path_to_json(zeta.zeta_path(path, lt)),
     }
     if args.labels is not None:
-        vp = vert(source, SignedPermutation.from_text(args.labels), lt)
+        vp = vert(path, SignedPermutation.from_text(args.labels), lt)
         out["reading_word"] = list(zeta.reading_word(vp, lt).window)
     if args.sweep:
-        out["sweep_labels"] = zeta.sweep_labels(source)
+        out["sweep_labels"] = zeta.sweep_labels(path)
     print(json.dumps(out))
     return 0
 

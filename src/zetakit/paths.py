@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -31,10 +30,33 @@ def enumeration_cap() -> int:
         raise MalformedToken("%s must be an integer, got %r" % (CAP_ENV, os.environ[CAP_ENV])) from None
 
 
-@dataclass(frozen=True)
 class PathKind:
-    shape: str
-    params: tuple[int, ...]
+    """A path shape and its parameters, such as lattice(3, 4).
+
+    A value type: equal and hashed by (shape, params), its hash computed
+    once, and never changed after it is made.  It and Path are plain
+    slotted classes: a frozen dataclass's generated __init__ costs several
+    times a plain one, and a tuple subclass (a NamedTuple) would be read as
+    the argument tuple of "%s" % kind.
+    """
+
+    __slots__ = ("shape", "params", "_hash")
+
+    def __init__(self, shape: str, params: tuple[int, ...]):
+        self.shape = shape
+        self.params = params
+        self._hash = hash((shape, params))
+
+    def __eq__(self, other):
+        if other.__class__ is not PathKind:
+            return NotImplemented
+        return self.shape == other.shape and self.params == other.params
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return "PathKind(shape=%r, params=%r)" % (self.shape, self.params)
 
     def __str__(self) -> str:
         return "%s(%s)" % (self.shape, ",".join(map(str, self.params)))
@@ -61,19 +83,34 @@ def signed_ballot(n: int) -> PathKind:
     return PathKind("signed_ballot", (n,))
 
 
-@dataclass(frozen=True)
 class Path:
     """Immutable step sequence with shape metadata.
 
     `steps` holds only N/E.  `sign_pos` is the 0-based index of the signed
     East step (or None) and `sign` its sign; both are None/+1 for unsigned
-    kinds.
+    kinds.  A value type like PathKind: equal and hashed by these four
+    fields, and never changed after it is made.
     """
 
-    steps: tuple[str, ...]
-    kind: PathKind
-    sign_pos: int | None = None
-    sign: int = 1
+    __slots__ = ("steps", "kind", "sign_pos", "sign")
+
+    def __init__(self, steps: tuple[str, ...], kind: PathKind, sign_pos: int | None = None, sign: int = 1):
+        self.steps = steps
+        self.kind = kind
+        self.sign_pos = sign_pos
+        self.sign = sign
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        mine = (self.steps, self.kind, self.sign_pos, self.sign)
+        return mine == (other.steps, other.kind, other.sign_pos, other.sign)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.kind, self.sign_pos, self.sign))
+
+    def __repr__(self) -> str:
+        return "Path(steps=%r, kind=%r, sign_pos=%r, sign=%r)" % (self.steps, self.kind, self.sign_pos, self.sign)
 
     @property
     def text(self) -> str:

@@ -50,8 +50,10 @@ def area_prime_forms(p: Path, lattice_type: str) -> list:
 
 def dinv_c(p: Path) -> int:
     """Diagonal inversions of a square lattice path; pairs may count twice.
-    Each form of dinv_c_prime_forms is one inversion."""
-    return len(dinv_c_prime_forms(p))
+    Each form of dinv_c_prime_forms is one inversion, counted here without
+    building the forms."""
+    rho = area_vector(p, "C")
+    return rho.count(0) + _pair_count(tuple(reversed(rho)))
 
 
 def dinv_c_prime(vp: VertPath) -> int:
@@ -85,6 +87,20 @@ def _pair_forms(rho) -> list:
     return forms
 
 
+def _pair_count(rho) -> int:
+    """len(_pair_forms(rho)) in one pass over the rows, without the forms:
+    row j pairs with each earlier row whose value is rho[j], rho[j] + 1,
+    -rho[j] or 1 - rho[j], once for each of these it equals."""
+    # the earlier rows' values by index; the length keeps the negative
+    # indices -m..-1 clear of 0..m+1, for m the largest |value|
+    seen = [0] * (2 * max(map(abs, rho), default=0) + 3)
+    count = 0
+    for r in rho:
+        count += seen[r] + seen[r + 1] + seen[-r] + seen[1 - r]
+        seen[r] += 1
+    return count
+
+
 def dinv_b_experimental(p: Path) -> int:
     """Candidate diagonal inversion count over the type B area vector: the
     pair forms of its rows and the entries 0 and 1.
@@ -92,4 +108,4 @@ def dinv_b_experimental(p: Path) -> int:
     Exploratory only; not tied to any verified identity.
     """
     mu = area_vector(p, "B")
-    return len(_pair_forms(tuple(reversed(mu)))) + sum(1 for v in mu if v in (0, 1))
+    return _pair_count(tuple(reversed(mu))) + sum(1 for v in mu if v in (0, 1))

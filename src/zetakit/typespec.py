@@ -12,7 +12,7 @@ through this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import paths
 from .errors import RankMismatch, ShapeMismatch, Unsupported
@@ -43,9 +43,15 @@ class Side:
     arity: int
     scale: int
     name: str
+    _kinds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kind(self, n: int) -> PathKind:
-        return PathKind(self.shape, (self.scale * n,) * self.arity)
+        """The kind at rank n, one object per rank, so that a cache keyed by
+        kinds finds it by identity."""
+        kind = self._kinds.get(n)
+        if kind is None:
+            kind = self._kinds[n] = PathKind(self.shape, (self.scale * n,) * self.arity)
+        return kind
 
 
 SQUARE = Side("lattice", 2, 1, "square lattice")
@@ -93,9 +99,13 @@ class TypeSpec:
             raise ShapeMismatch("type %s needs a %s path, got %s" % (self.name, side.name, p.kind))
         if self.dyck and not is_dyck(p):
             raise ShapeMismatch("type %s needs a path weakly above the diagonal" % self.name)
-        n = params[0] // side.scale
+        return self.kind_rank(params[0] // side.scale, p.kind)
+
+    def kind_rank(self, n: int, kind: PathKind) -> int:
+        """n, the rank of a path of the given kind, or ShapeMismatch naming
+        the kind below the smallest supported rank."""
         if n < self.min_rank:
-            raise ShapeMismatch("type %s needs rank >= %d, got %s" % (self.name, self.min_rank, p.kind))
+            raise ShapeMismatch("type %s needs rank >= %d, got %s" % (self.name, self.min_rank, kind))
         return n
 
     def check_rank(self, n: int) -> int:

@@ -14,7 +14,6 @@ from .affine import dominant_frame_parts
 from .errors import InternalError, NotRepresentative, ShapeMismatch, ZetakitError
 from .paths import (
     Path,
-    ballot,
     east_counts,
     lattice,
     lift_signed,
@@ -303,21 +302,24 @@ def sweep_labels(p: Path) -> list[int]:
 
 def sweep_c(p: Path) -> Path:
     """Reorder the steps of a square path by increasing label."""
-    n = type_spec("C").source_rank(p)
-    labels = sweep_labels(p)
-    bag = []
-    for i, l in enumerate(labels):
+    spec = type_spec("C")
+    n = spec.source_rank(p)
+    steps = p.steps
+    # each step as one int, its sort key times 2 plus 1 for N: a step
+    # with a negative label keeps it, one with a positive label l carries
+    # the step before it with key -l, and label 0 carries the last step
+    keys = []
+    for i, l in enumerate(sweep_labels(p)):
         if l < 0:
-            bag.append((l, p.steps[i]))
+            keys.append(2 * l + (steps[i] == N))
         elif l > 0:
-            bag.append((-l, p.steps[i - 1]))
+            keys.append(-2 * l + (steps[i - 1] == N))
         else:
-            bag.append((-n, p.steps[-1]))
-    bag.sort()
-    keys = [k for k, _ in bag]
-    if len(set(keys)) != len(keys):
-        raise InternalError("sweep labels collide: %r" % (keys,))
-    return make_path(tuple(s for _, s in bag), ballot(2 * n))
+            keys.append(-2 * n + (steps[-1] == N))
+    keys.sort()
+    if any(a >> 1 == b >> 1 for a, b in zip(keys, keys[1:])):
+        raise InternalError("sweep labels collide: %r" % ([k >> 1 for k in keys],))
+    return make_path([N if k & 1 else E for k in keys], spec.target.kind(n))
 
 
 def inverse_zeta(p: Path, lattice_type: str) -> Path:

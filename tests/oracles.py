@@ -1137,6 +1137,27 @@ def dinv_c_by_cases(p: Path) -> int:
     return total
 
 
+def sweep_c_by_bag(p: Path) -> Path:
+    """The type-C sweep map by a bag of (key, step) pairs: a step with a
+    negative label keeps it as its key, one with a positive label l carries
+    the step before it with key -l, and label 0 carries the last step with
+    key -n; the steps are read off the sorted bag."""
+    n = type_spec("C").source_rank(p)
+    bag = []
+    for i, l in enumerate(zeta.sweep_labels(p)):
+        if l < 0:
+            bag.append((l, p.steps[i]))
+        elif l > 0:
+            bag.append((-l, p.steps[i - 1]))
+        else:
+            bag.append((-n, p.steps[-1]))
+    bag.sort()
+    keys = [k for k, _ in bag]
+    if len(set(keys)) != len(keys):
+        raise InternalError("sweep labels collide: %r" % (keys,))
+    return make_path(tuple(s for _, s in bag), ballot(2 * n))
+
+
 # ---------------------------------------------------------------------------
 # the zeta codec by one scan of the area vector per level
 

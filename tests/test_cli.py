@@ -197,9 +197,16 @@ def test_output_byte_stable(capsys):
     (["zeta", "--type", "B", "--path", "NE+EENN"], 3, "no signed step allowed at step 2"),
     (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[1,"], 2, "parse error: '[1,' is not JSON"),
     (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[" * 1000], 2, "parse error"),
-    (["zeta", "--type", "D", "--path", ""], 3, "shape error: signed_lattice(0) asks for a negative number"),
-    (["zeta", "--type", "D", "--path", "", "--inverse"], 3, "shape error: signed_ballot(0) asks for a negative"),
+    # D's rank-0 kinds have -1 steps, and D names its smallest rank all the same
+    (["zeta", "--type", "D", "--path", ""], 3, "shape error: type D needs rank >= 2, got signed_lattice(0)"),
+    (["zeta", "--type", "D", "--path", "", "--inverse"], 3, "shape error: type D needs rank >= 2, got signed_ballot(0)"),
     (["zeta", "--type", "C", "--path", "NNEE", "--labels", "[" + "1," * 399 + '"x"]'], 2, "parse error"),
+    # an empty path names its type's smallest rank, in B, C and D alike
+    (["zeta", "--type", "B", "--path", "", "--inverse"], 3, "shape error: type B needs rank >= 2, got ballot(0)"),
+    (["zeta", "--type", "C", "--path", ""], 3, "shape error: type C needs rank >= 1, got lattice(0,0)"),
+    (["zeta", "--type", "C", "--path", "", "--inverse"], 3, "shape error: type C needs rank >= 1, got ballot(0)"),
+    (["zeta", "--type", "B", "--path", ""], 3, "shape error: type B needs rank >= 2, got lattice(0,0)"),
+    (["zeta", "--type", "D", "--path", "NE-"], 3, "shape error: type D needs rank >= 2, got signed_lattice(1)"),
 ])
 def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error):
     if argv[0] == "table":

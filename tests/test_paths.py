@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from zetakit.errors import CapExceeded, MalformedToken, ShapeViolation
 from zetakit.paths import (
+    Path,
+    PathKind,
     ballot,
     count_paths,
     east_counts,
@@ -40,6 +42,34 @@ def test_parse_golden_signed():
     assert sign_of(p) == -1
     assert p.sign_pos == 0
     assert render_path(p) == "E-EENNNNNE"
+
+
+@pytest.mark.parametrize("kind", [lattice(2, 3), ballot(5), signed_lattice(3), signed_ballot(3)])
+def test_paths_and_kinds_are_values(kind):
+    # equal and hashed by their fields: a path built from a kind made anew
+    # equals the enumerated path, and a set holds them once
+    same_kind = PathKind(kind.shape, tuple(kind.params))
+    assert same_kind == kind and hash(same_kind) == hash(kind) and same_kind is not kind
+    for p in enumerate_paths(kind):
+        q = make_path(list(p.steps), same_kind, p.sign)
+        assert q == p and not q != p and hash(q) == hash(p) and q is not p
+        assert len({p, q}) == 1 and {p: 1}[q] == 1
+        # never equal to a tuple of the same fields
+        assert p != (p.steps, p.kind, p.sign_pos, p.sign) and p != p.steps
+    assert kind != (kind.shape, kind.params)
+    assert lattice(2, 3) != lattice(3, 2) and ballot(5) != signed_ballot(5)
+
+
+def test_paths_and_kinds_format_as_text():
+    p = parse_path("NNNE-E", signed_ballot(3))
+    assert "%s" % p.kind == str(p.kind) == "signed_ballot(3)"
+    assert "%s" % p == str(p) == p.text == "NNNE-E"
+    assert "%s at %s" % (p, p.kind) == "NNNE-E at signed_ballot(3)"
+    assert repr(p) == (
+        "Path(steps=('N', 'N', 'N', 'E', 'E'), kind=PathKind(shape='signed_ballot', params=(3,)), sign_pos=3, sign=-1)"
+    )
+    assert repr(lattice(2, 3)) == "PathKind(shape='lattice', params=(2, 3))"
+    assert Path(p.steps, p.kind, p.sign_pos, p.sign) == p != Path(p.steps, p.kind, p.sign_pos)
 
 
 def test_parse_ballot_prefix_violation():

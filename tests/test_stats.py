@@ -3,9 +3,19 @@ import pytest
 from zetakit.errors import InvalidLabelling
 from zetakit.paths import ballot, enumerate_paths, lattice, parse_path, signed_ballot
 from zetakit.signedperm import SignedPermutation
-from zetakit.stats import area, area_prime, dinv_b_experimental, dinv_c, dinv_c_prime
+from zetakit.stats import (
+    _pair_count,
+    _pair_forms,
+    area,
+    area_prime,
+    dinv_b_experimental,
+    dinv_c,
+    dinv_c_prime,
+    dinv_c_prime_forms,
+)
 from zetakit.torus import VertPath, enumerate_vert
-from zetakit.zeta import zeta_labelled, zeta_path
+from zetakit.typespec import type_spec
+from zetakit.zeta import area_vector, zeta_labelled, zeta_path
 
 from oracles import (
     C_LABELS,
@@ -92,6 +102,17 @@ def test_dinv_equals_area_of_image(n):
 def test_dinv_counts_the_four_comparisons(n):
     for p in enumerate_paths(lattice(n, n)):
         assert dinv_c(p) == dinv_c_by_cases(p)
+
+
+@pytest.mark.parametrize("lt,n", [(lt, n) for lt in "BC" for n in range(type_spec(lt).min_rank, 8)])
+def test_pair_count_equals_the_pair_forms(lt, n):
+    # the counted rule (dinv_c, dinv_b_experimental) and the listed one
+    # (dinv_c_prime_forms) are two statements of one rule
+    for p in type_spec(lt).sources(n):
+        rho = tuple(reversed(area_vector(p, lt)))
+        assert _pair_count(rho) == len(_pair_forms(rho))
+        if lt == "C":
+            assert dinv_c(p) == len(dinv_c_prime_forms(p))
 
 
 @pytest.mark.parametrize("n", range(1, 4))

@@ -6,12 +6,26 @@ import zetakit.typespec as typespec
 from zetakit import stats
 from zetakit.affine import AffinePermutation, dominant_frame, grassmannian_companion, in_group, is_grassmannian
 from zetakit.errors import RankMismatch, ShapeMismatch, Unsupported, ZetakitError
-from zetakit.paths import ballot, enumerate_paths, is_dyck, lattice, parse_path, signed_ballot
+from zetakit.paths import ballot, enumerate_paths, is_dyck, lattice, parse_path, signed_ballot, signed_lattice
 from zetakit.rootposet import antichain_to_ballot, diag_validate
 from zetakit.signedperm import SignedPermutation, weyl_group
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, type_spec
 from zetakit.verify import run_suite
 from zetakit.zeta import area_vector
+
+
+@pytest.mark.parametrize("lt,source,target", [
+    ("A", lattice(5, 5), lattice(5, 5)),
+    ("B", lattice(5, 5), ballot(10)),
+    ("C", lattice(5, 5), ballot(10)),
+    ("D", signed_lattice(5), signed_ballot(5)),
+])
+def test_side_kind_is_one_object_per_rank(lt, source, target):
+    # caches keyed by kind then find it by identity
+    spec = type_spec(lt)
+    for n in range(7):
+        assert spec.source.kind(n) is spec.source.kind(n) and spec.target.kind(n) is spec.target.kind(n)
+    assert (spec.source.kind(5), spec.target.kind(5)) == (source, target)
 
 
 def test_registry_values():

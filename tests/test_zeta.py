@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from zetakit.errors import NotRepresentative, RankMismatch, ShapeMismatch
+from zetakit import zeta as zmod
+from zetakit.errors import InternalError, NotRepresentative, RankMismatch, ShapeMismatch
 from zetakit.paths import (
     ballot,
     enumerate_paths,
@@ -50,6 +51,7 @@ from oracles import (
     D_EXAMPLES,
     label_twist,
     sp,
+    sweep_c_by_bag,
 )
 
 
@@ -240,6 +242,26 @@ def test_sweep_golden():
 def test_sweep_equals_zeta(n):
     for p in enumerate_paths(lattice(n, n)):
         assert sweep_c(p) == zeta_path(p, "C")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_matches_the_bag_oracle(n):
+    # held to the bag sort itself, not to zeta_path: sweep_equiv checks
+    # that the two maps agree, so it cannot vouch for either alone
+    for p in enumerate_paths(lattice(n, n)):
+        got, want = sweep_c(p), sweep_c_by_bag(p)
+        assert (got.steps, got.kind) == (want.steps, want.kind)
+        assert got == want
+
+
+@pytest.mark.parametrize("sweep", [sweep_c, sweep_c_by_bag])
+def test_sweep_refuses_colliding_labels(monkeypatch, sweep):
+    # two steps with one key would make the order up; that is a fault in
+    # the labels, raised, not a path
+    p = parse_path(C_PATH, lattice(6, 6))
+    monkeypatch.setattr(zmod, "sweep_labels", lambda q: [-1] * len(q.steps))
+    with pytest.raises(InternalError, match="sweep labels collide"):
+        sweep(p)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
