@@ -37,7 +37,7 @@ from operator import mul
 
 from . import paths, stats, verify, zeta
 from .errors import InternalError, InvalidLabelling, ZetakitError
-from .paths import Path, render_path, rises, sign_of, strip_signs
+from .paths import Path, rises, sign_of
 from .rootposet import ParkingFunction, _ends, _forms, antichain_forms, ballot_to_antichain
 from .signedperm import SignedPermutation, passes
 from .torus import VertPath, vertical_forms
@@ -45,6 +45,22 @@ from .typespec import type_spec
 
 # the rank up to which stats_identity also checks dinv' = area' o zeta on labelled paths
 REFINED_MAX_RANK = 4
+
+
+# A path's step code is an int with one bit per step, N = 1 and the first
+# step highest, then on a signed kind one more bit, set iff the sign is -1.
+# The checks key paths by it and keep sets of codes as bitmaps, one bit per
+# code; a path is rendered as text only for a message.
+_BITS = bytes.maketrans(b"NE", b"10")
+_SIGNED = ("signed_lattice", "signed_ballot")
+
+
+def _code(p: Path) -> int:
+    """The step code of p.  Distinct paths of one kind of L steps have
+    distinct codes below 2^(L+1), and strip_signs takes a signed path's
+    code c to c >> 1."""
+    code = int("".join(p.steps).encode().translate(_BITS), 2)
+    return code << 1 | (p.sign < 0) if p.kind.shape in _SIGNED else code
 
 
 # A label window v is a plain tuple.  _signed(v) extends it to the signed
@@ -177,6 +193,12 @@ class _Rank:
         p, s = divmod(bit.bit_length() - 1, 1 << self.n)
         return tuple(map(mul, self.signs[s], self.perms[p]))
 
+    def bitmap(self) -> bytearray:
+        """An empty set of codes: code c is bit c & 7 of byte c >> 3.  A
+        target path has 2n steps, or 2n - 1 and a sign, so the codes of the
+        targets and of the images are below 2^(2n)."""
+        return bytearray(((1 << 2 * self.n) + 7) >> 3)
+
 
 def _first(d: _PathData, bad: int, outcome, miss=None):
     """The first labelling in bad or in d.misfits, as (bit, outcome), or
@@ -194,8 +216,8 @@ class _PathData:
     once, when a check first reads it."""
 
     image = _lazy(lambda d: zeta.zeta_path(d.path, d.lt))
-    # the image as text; the checks that keep images keep this one string
-    key = _lazy(lambda d: render_path(d.image))
+    # the image's step code, by which the checks that keep images key it
+    key = _lazy(lambda d: _code(d.image))
     # the vertical labellings, as forms and as a set, and their number
     vertical = _lazy(lambda d: vertical_forms(d.path, d.lt))
     mask = _lazy(lambda d: d.r.select(*d.vertical))
@@ -214,9 +236,9 @@ class _PathData:
 
 
 class _Target:
-    """One target path; its text is rendered when a check first reads it."""
+    """One target path; its step code is computed when a check first reads it."""
 
-    key = _lazy(lambda t: render_path(t.path))
+    key = _lazy(lambda t: _code(t.path))
 
     def __init__(self, q: Path):
         self.path = q
@@ -285,29 +307,50 @@ class _Bijectivity(_Check):
 
     def __init__(self, r: _Rank):
         super().__init__(r)
-        self.images, self.hit, self.star, self.unsigned = set(), set(), set(), set()
+        # the codes of the images and of the targets; in D also the
+        # sign-stripped codes of the images of sign +1 sources and of the
+        # targets of sign +1
+        self.images, self.hit, self.star, self.unsigned = (r.bitmap() for _ in range(4))
 
     def source(self, d: _PathData):
-        key = d.key
-        if key in self.images:
-            return "duplicate image %s" % key
-        self.images.add(key)
+        key, images = d.key, self.images
+        bit = 1 << (key & 7)
+        if images[key >> 3] & bit:
+            return "duplicate image %s" % d.image
+        images[key >> 3] |= bit
         if self.r.lt == "D" and sign_of(d.path) > 0:
-            self.star.add(render_path(strip_signs(d.image)))
+            key >>= 1
+            self.star[key >> 3] |= 1 << (key & 7)
         return None
 
     def target(self, t: _Target):
-        self.hit.add(t.key)
-        if self.r.lt == "D" and sign_of(t.path) > 0:
-            self.unsigned.add(render_path(strip_signs(t.path)))
+        key = t.key
+        self.hit[key >> 3] |= 1 << (key & 7)
+        if self.r.lt == "D" and not key & 1:  # the sign bit of a target of sign +1 is 0
+            key >>= 1
+            self.unsigned[key >> 3] |= 1 << (key & 7)
 
     def finish(self):
         if self.images != self.hit:
-            return "image misses %s" % min(self.hit - self.images)
+            return self._stray()
         if self.r.lt != "D":
             return None
-        self.examined += len(self.star)
+        self.examined += int.from_bytes(self.star, "little").bit_count()
         return None if self.star == self.unsigned else "sign-stripped map is not onto"
+
+    def _stray(self) -> str:
+        """The message of a pass whose images are not the targets: the
+        missing target with the smallest text or, if none is missing, the
+        image with the smallest text that is no target.  Code order is not
+        text order (E+ sorts before E-), so the paths are enumerated again
+        and rendered, on this failing pass only."""
+        r = self.r
+        # bit c of each is code c
+        images, hit = int.from_bytes(self.images, "little"), int.from_bytes(self.hit, "little")
+        if hit & ~images:
+            return "image misses %s" % min(str(q) for q in r.spec.targets(r.n) if not images >> _code(q) & 1)
+        stray = (zeta.zeta_path(p, r.lt) for p in r.spec.sources(r.n))
+        return "image %s is no target path" % min(str(q) for q in stray if not hit >> _code(q) & 1)
 
 
 class _InverseRoundtrip(_Check):
@@ -318,17 +361,19 @@ class _InverseRoundtrip(_Check):
 
     def __init__(self, r: _Rank):
         super().__init__(r)
-        self.verified = set()  # the keys of the images whose inverse gave back their path
+        self.verified = r.bitmap()  # the codes of the images whose inverse gave back their path
 
     def source(self, d: _PathData):
         if zeta.inverse_zeta_c(d.image) != d.path:
             return "round trip fails at %s" % d.path
-        self.verified.add(d.key)
+        key = d.key
+        self.verified[key >> 3] |= 1 << (key & 7)
         return None
 
     def target(self, t: _Target):
         self.examined += 1
-        if t.key not in self.verified and zeta.zeta_path(zeta.inverse_zeta_c(t.path), "C") != t.path:
+        key = t.key
+        if not self.verified[key >> 3] >> (key & 7) & 1 and zeta.zeta_path(zeta.inverse_zeta_c(t.path), "C") != t.path:
             return "round trip fails at image %s" % t.path
         return None
 
@@ -379,8 +424,8 @@ class _LabelledBijectivity(_Check):
 
     def __init__(self, r: _Rank):
         super().__init__(r)
-        self.fits = {}  # image key -> its antichain forms
-        self.sources = {}  # image key -> each earlier path's vertical forms, pulled through read^-1
+        self.fits = {}  # image code -> its antichain forms
+        self.sources = {}  # image code -> each earlier path's vertical forms, pulled through read^-1
         self.expected = r.spec.modulus(r.n) ** r.n
         self.diagonal = 0
 

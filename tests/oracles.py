@@ -664,7 +664,9 @@ def check_bijectivity(lt: str, n: int):
     targets = {render_path(q) for q in _paths(spec, spec.target.kind(n))}
     if images != targets:
         missing = sorted(targets - images)
-        return "image misses %s" % missing[0], len(images)
+        if missing:
+            return "image misses %s" % missing[0], len(images)
+        return "image %s is no target path" % min(images - targets), len(images)
     if lt == "D":
         star_images = set()
         for p in enumerate_paths(lattice(n - 1, n)):

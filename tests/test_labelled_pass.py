@@ -2,8 +2,11 @@
 oracles.py: the same first counterexample for every check, on the real
 maps and on deliberately broken ones."""
 
+import tracemalloc
+
 import pytest
 
+import oracles
 import zetakit.labelled as labelled
 import zetakit.paths as paths
 import zetakit.signedperm as signedperm
@@ -14,7 +17,7 @@ import zetakit.zeta as zmod
 
 from zetakit.errors import InternalError, InvalidLabelling, NotRepresentative, ZetakitError
 from zetakit.labelled import REFINED_MAX_RANK, run_pass
-from zetakit.paths import enumerate_paths, lattice, parse_path
+from zetakit.paths import Path, enumerate_paths, lattice, parse_path, strip_signs
 from zetakit.rootposet import to_parking_function
 from zetakit.signedperm import SignedPermutation, count_positive
 from zetakit.stats import area_prime_forms, dinv_c_prime_forms
@@ -561,15 +564,93 @@ def test_d_bijectivity_computes_one_zeta_per_source_path(monkeypatch):
     assert sorted(images, key=str) == sorted((p for n in (2, 3) for p in type_spec("D").sources(n)), key=str)
 
 
-def test_the_target_phase_renders_each_target_once(monkeypatch):
-    true_render = labelled.render_path
-    rendered = []
-    monkeypatch.setattr(labelled, "render_path", lambda p: rendered.append(p) or true_render(p))
+@pytest.mark.parametrize("lt", "ABCD")
+def test_step_codes_key_every_kind_the_pass_enumerates(lt):
+    spec = type_spec(lt)
+    for n in range(spec.min_rank, 8):
+        r = labelled._Rank(lt, n)
+        for kind in (spec.source.kind(n), spec.target.kind(n)):
+            signed = paths.unsigned(kind) != kind
+            codes = set()
+            for p in enumerate_paths(kind):
+                code = labelled._code(p)
+                assert code < 1 << len(p.steps) + 1
+                # the sign is the last bit, and strip_signs drops it
+                assert labelled._code(strip_signs(p)) == (code >> 1 if signed else code)
+                codes.add(code)
+            assert len(codes) == paths.count_paths(kind), kind
+            if kind == spec.target.kind(n):
+                assert max(codes) < 8 * len(r.bitmap())
+
+
+def _drop_first_target(monkeypatch, lt: str, n: int):
+    """A target-side fault: the first target path of rank n is left out of
+    the enumeration, for the pass and for the oracles alike."""
+    kind = type_spec(lt).target.kind(n)
+    true_enumerate = paths.enumerate_paths
+
+    def dropped(k):
+        stream = true_enumerate(k)
+        if k == kind:
+            next(stream)
+        return stream
+
+    monkeypatch.setattr(paths, "enumerate_paths", dropped)
+    monkeypatch.setattr(oracles, "enumerate_paths", dropped)
+
+
+@pytest.mark.parametrize("lt", "BCD")
+def test_an_image_that_is_no_target_is_a_counterexample(monkeypatch, lt):
+    first = str(next(type_spec(lt).targets(3)))
+    _drop_first_target(monkeypatch, lt, 3)
+    found = run_pass(lt, 3, ["bijectivity"])["bijectivity"]
+    assert found == UNLABELLED_ORACLES["bijectivity"](lt, 3)
+    assert found[0] == "image %s is no target path" % first
+    rows = run_suite(lt, 3, ["counting", "bijectivity"]).results
+    assert [r.counterexample for r in rows if r.check == "bijectivity"][-1] == found[0]
+
+
+def test_a_missing_target_is_named_in_text_order(monkeypatch):
+    # the sign is the lowest bit of a code, so code order is not text order:
+    # NNNNE-EE has the lower code and NNNNE+EN the lower text
+    kind = type_spec("D").target.kind(4)
+    lost = [parse_path(text, kind) for text in ("NNNNE-EE", "NNNNE+EN")]
+    assert labelled._code(lost[0]) < labelled._code(lost[1])
+    # their preimages go to two distinct paths that are no targets
+    true_zeta = zmod.zeta_path
+    stray = dict(zip(lost, [Path(("E",) * 7, kind), Path(("E",) * 6 + ("N",), kind)]))
+    monkeypatch.setattr(zmod, "zeta_path", lambda p, t: stray.get(true_zeta(p, t)) or true_zeta(p, t))
+    found = run_pass("D", 4, ["bijectivity"])["bijectivity"]
+    assert found == UNLABELLED_ORACLES["bijectivity"]("D", 4)
+    assert found[0] == "image misses NNNNE+EN"
+
+
+@pytest.mark.parametrize("lt,names", [
+    ("C", ["counting", "bijectivity", "inverse_roundtrip", "sweep_equiv", "stats_identity"]),
+    ("D", ["counting", "bijectivity"]),
+])
+def test_the_unlabelled_pass_keeps_no_object_per_path(lt, names):
+    # its sets are bitmaps of 2 KB at rank 7; a set of rendered keys per
+    # image and per target took 0.8-1 MB there
+    tracemalloc.start()
+    try:
+        found = run_pass(lt, 7, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(outcome is None for outcome, _ in found.values())
+    assert peak < 200_000
+
+
+def test_the_target_phase_codes_each_target_once(monkeypatch):
+    true_code = labelled._code
+    coded = []
+    monkeypatch.setattr(labelled, "_code", lambda p: coded.append(p) or true_code(p))
     names = ["counting", "bijectivity", "labelled_bijectivity", "inverse_roundtrip"]
     assert all(outcome is None for outcome, _ in run_pass("C", 3, names).values())
     spec = type_spec("C")
     # one key per source image, then one per target, however many checks read it
-    assert rendered == [zmod.zeta_path(p, "C") for p in spec.sources(3)] + list(spec.targets(3))
+    assert coded == [zmod.zeta_path(p, "C") for p in spec.sources(3)] + list(spec.targets(3))
 
 
 @pytest.mark.parametrize("lt", "ABCD")
@@ -590,26 +671,26 @@ def test_zeta_reads_the_rank_of_a_path_once(monkeypatch, lt):
 
 
 def test_checks_without_a_target_test_skip_the_targets(monkeypatch):
-    true_enumerate, true_render = paths.enumerate_paths, labelled.render_path
+    true_enumerate, true_code = paths.enumerate_paths, labelled._code
     kinds, keys = [], []
 
     def enumerate_counted(kind):
         kinds.append(kind)
         return true_enumerate(kind)
 
-    def render_counted(q):
+    def code_counted(q):
         keys.append(q)
-        return true_render(q)
+        return true_code(q)
 
     monkeypatch.setattr(paths, "enumerate_paths", enumerate_counted)
-    monkeypatch.setattr(labelled, "render_path", render_counted)
+    monkeypatch.setattr(labelled, "_code", code_counted)
     spec = type_spec("C")
     assert run_pass("C", 5, ["sweep_equiv", "stats_identity"]) == {
         "sweep_equiv": (None, 252),
         "stats_identity": (None, 252),
     }
     assert (kinds, keys) == ([spec.source.kind(5)], [])
-    # counting counts the targets without rendering them
+    # counting counts the targets without coding them
     assert run_pass("C", 5, ["counting"]) == {"counting": (None, 504)}
     assert (kinds[1:], keys) == ([spec.source.kind(5), spec.target.kind(5)], [])
 
