@@ -51,16 +51,15 @@ REFINED_MAX_RANK = 4
 # step highest, then on a signed kind one more bit, set iff the sign is -1.
 # The checks key paths by it and keep sets of codes as bitmaps, one bit per
 # code; a path is rendered as text only for a message.
-_BITS = bytes.maketrans(b"NE", b"10")
-_SIGNED = ("signed_lattice", "signed_ballot")
+_BITS = str.maketrans("NE", "10")
 
 
 def _code(p: Path) -> int:
     """The step code of p.  Distinct paths of one kind of L steps have
     distinct codes below 2^(L+1), and strip_signs takes a signed path's
     code c to c >> 1."""
-    code = int("".join(p.steps).encode().translate(_BITS), 2)
-    return code << 1 | (p.sign < 0) if p.kind.shape in _SIGNED else code
+    code = int(p.steps.translate(_BITS), 2)
+    return code << 1 | (p.sign < 0) if paths._slot_after(p.kind) is not None else code
 
 
 # A label window v is a plain tuple.  _signed(v) extends it to the signed
@@ -98,7 +97,7 @@ def _rise_template(p: Path, lt: str) -> list:
     """Rise tokens of the labels of p: a rise i pairs v(i+1) with v(i); in D
     a path starting NN gives the absolute token of v(1) and v(2) instead,
     and a first North step pairs v(1) with -v(1) in C and with 0 in B."""
-    starts_nn = p.steps[:2] == (paths.N, paths.N)
+    starts_nn = p.steps.startswith(paths.N * 2)
     out = [(True, 1, 2) if lt == "D" and i == 1 and starts_nn else (False, i + 1, i)
            for i in rises(p)]
     if p.steps[0] == paths.N and lt in ("B", "C"):

@@ -3,8 +3,8 @@
 Steps are written N, E, E+ and E- in path text.  All indices in public
 contracts are 1-based.  A signed kind is its unsigned kind (`unsigned`)
 plus one signed East step at a slot fixed by the steps; this module alone
-places it.  Paths keep the sign as a separate flag so that sign-blind
-algorithms can work on the bare N/E sequence.
+places it.  A path is its N/E word, its kind and its sign, so that
+sign-blind algorithms work on the bare word.
 """
 
 from __future__ import annotations
@@ -84,33 +84,33 @@ def signed_ballot(n: int) -> PathKind:
 
 
 class Path:
-    """Immutable step sequence with shape metadata.
-
-    `steps` holds only N/E.  `sign_pos` is the 0-based index of the signed
-    East step (or None) and `sign` its sign; both are None/+1 for unsigned
-    kinds.  A value type like PathKind: equal and hashed by these four
-    fields, and never changed after it is made.
+    """A path: its N/E word `steps`, its kind and its sign, +1 on a path
+    with no signed step.  `sign_pos`, the 0-based index of the signed East
+    step or None, is read off the word by the kind's slot rule.  A value
+    type like PathKind: equal and hashed by its three fields, never changed.
     """
 
-    __slots__ = ("steps", "kind", "sign_pos", "sign")
+    __slots__ = ("steps", "kind", "sign")
 
-    def __init__(self, steps: tuple[str, ...], kind: PathKind, sign_pos: int | None = None, sign: int = 1):
+    def __init__(self, steps: str, kind: PathKind, sign: int = 1):
         self.steps = steps
         self.kind = kind
-        self.sign_pos = sign_pos
         self.sign = sign
 
     def __eq__(self, other):
         if other.__class__ is not Path:
             return NotImplemented
-        mine = (self.steps, self.kind, self.sign_pos, self.sign)
-        return mine == (other.steps, other.kind, other.sign_pos, other.sign)
+        return (self.steps, self.kind, self.sign) == (other.steps, other.kind, other.sign)
 
     def __hash__(self) -> int:
-        return hash((self.steps, self.kind, self.sign_pos, self.sign))
+        return hash((self.steps, self.kind, self.sign))
 
     def __repr__(self) -> str:
-        return "Path(steps=%r, kind=%r, sign_pos=%r, sign=%r)" % (self.steps, self.kind, self.sign_pos, self.sign)
+        return "Path(steps=%r, kind=%r, sign=%r)" % (self.steps, self.kind, self.sign)
+
+    @property
+    def sign_pos(self) -> int | None:
+        return _signed_slot(self.steps, self.kind)
 
     @property
     def text(self) -> str:
@@ -122,18 +122,13 @@ class Path:
 
 def sign_of(p: Path) -> int:
     """The sign of a path: -1 iff it contains an E- step."""
-    return -1 if (p.sign_pos is not None and p.sign < 0) else 1
-
-
-def tokens(p: Path) -> tuple[str, ...]:
-    out = list(p.steps)
-    if p.sign_pos is not None:
-        out[p.sign_pos] = E + ("+" if p.sign > 0 else "-")
-    return tuple(out)
+    return p.sign
 
 
 def render_path(p: Path) -> str:
-    return "".join(tokens(p))
+    """The word with E+ or E- at the signed slot, if there is one."""
+    slot = p.sign_pos
+    return p.steps if slot is None else "%s%s%s" % (p.steps[: slot + 1], "+-"[p.sign < 0], p.steps[slot + 1 :])
 
 
 def _tokenize(text: str) -> list[str]:
@@ -154,18 +149,16 @@ def _tokenize(text: str) -> list[str]:
     return toks
 
 
-@lru_cache(maxsize=256)
 def unsigned(kind: PathKind) -> PathKind:
     """The kind with its sign forgotten: signed_lattice(n) is lattice(n-1, n),
-    signed_ballot(n) is ballot(2n-1), and any other kind is itself.  Cached:
-    make_path asks once per path."""
-    if kind.shape == "signed_lattice":
-        (n,) = kind.params
-        return lattice(n - 1, n)
-    if kind.shape == "signed_ballot":
-        (n,) = kind.params
-        return ballot(2 * n - 1)
-    return kind
+    signed_ballot(n) is ballot(2n-1), and any other kind is itself."""
+    return kind if _slot_after(kind) is None else _unsigned_of_signed(kind)
+
+
+@lru_cache(maxsize=256)
+def _unsigned_of_signed(kind: PathKind) -> PathKind:
+    (n,) = kind.params
+    return lattice(n - 1, n) if kind.shape == "signed_lattice" else ballot(2 * n - 1)
 
 
 @lru_cache(maxsize=256)
@@ -209,24 +202,25 @@ def _slot_after(kind: PathKind) -> int | None:
     return None
 
 
-def _signed_slot(steps: tuple[str, ...], kind: PathKind) -> int | None:
+def _signed_slot(steps: str, kind: PathKind) -> int | None:
     """Index of the step that must carry a sign for this kind, if any: the
     one right after the k-th North step (a ballot path of 2n-1 steps has at
-    least n), when it is an East step."""
+    least n), when there is one and it is an East step."""
     k = _slot_after(kind)
     if k is None:
         return None
-    slot = 0
-    for _ in range(k):
-        slot = steps.index(N, slot) + 1
-    return slot if slot < len(steps) and steps[slot] == E else None
+    rest = steps.split(N, k)  # rest[-1] follows the k-th North step
+    return len(steps) - len(rest[-1]) if len(rest) > k and rest[-1][:1] == E else None
 
 
 def make_path(steps, kind: PathKind, sign: int = 1) -> Path:
     """Validate and build a path of the given kind.  On a signed kind the
     East step at the kind's slot carries the sign; a path with no such
-    step ignores it."""
-    steps = tuple(steps)
+    step ignores it.  The steps are a word, or any iterable of N and E."""
+    if steps.__class__ is not str:
+        items = list(steps)
+        # an item that is not one step N or E makes a word the alphabet check refuses
+        steps = "".join(items) if items.count(N) + items.count(E) == len(items) else "?" * len(items)
     plain = _plain(kind)
     length = sum(plain.params)  # a + b for lattice(a, b)
     if len(steps) != length:
@@ -238,12 +232,11 @@ def make_path(steps, kind: PathKind, sign: int = 1) -> Path:
         raise ShapeViolation("expected %d East steps for %s, got %d" % (plain.params[0], kind, east))
     if plain.shape == "ballot" and not _is_ballot(steps):
         raise ShapeViolation("ballot prefix condition violated")
-    slot = _signed_slot(steps, kind)
-    if slot is None:
+    if _signed_slot(steps, kind) is None:
         return Path(steps, kind)
     if sign not in (1, -1):
         raise ShapeViolation("sign must be +1 or -1")
-    return Path(steps, kind, slot, sign)
+    return Path(steps, kind, sign)
 
 
 def parse_path(text: str, kind: PathKind) -> Path:
@@ -253,10 +246,11 @@ def parse_path(text: str, kind: PathKind) -> Path:
     if len(signed) > 1:
         raise ShapeViolation("at most one signed step is allowed")
     p = make_path([t[0] for t in toks], kind, -1 if "E-" in toks else 1)
-    if p.sign_pos is None and signed:
+    slot = p.sign_pos
+    if slot is None and signed:
         raise ShapeViolation("no signed step allowed at step %d for %s" % (signed[0] + 1, kind))
-    if p.sign_pos is not None and signed != [p.sign_pos]:
-        raise ShapeViolation("step %d must be a signed East step" % (p.sign_pos + 1))
+    if slot is not None and signed != [slot]:
+        raise ShapeViolation("step %d must be a signed East step" % (slot + 1))
     return p
 
 
@@ -388,25 +382,25 @@ def _walk(kind: PathKind) -> Iterator[Path]:
     width, height = plain.params if plain.shape == "lattice" else (length // 2, length)
     ballot_rule = plain.shape == "ballot"
     k = _slot_after(kind)
-    # (prefix, east, north, sign_pos, sign); the branch pushed last is taken first
-    stack = [((), 0, 0, None, 1)]
+    # (prefix, east, north, sign); the branch pushed last is taken first
+    stack = [("", 0, 0, 1)]
     while stack:
-        prefix, east, north, slot, sign = stack.pop()
+        prefix, east, north, sign = stack.pop()
         if east == width or east + north == length:
             # only North steps are left: one path, and no slot among them
-            yield Path(prefix + (N,) * (length - east - north), kind, slot, sign)
+            yield Path(prefix + N * (length - east - north), kind, sign)
             continue
         if north == height:
             # only East steps are left, on lattice kinds only: one path, and
             # no slot among them, as a signed lattice path's is its first step
-            yield Path(prefix + (E,) * (width - east), kind, slot, sign)
+            yield Path(prefix + E * (width - east), kind, sign)
             continue
-        stack.append((prefix + (N,), east, north + 1, slot, sign))
+        stack.append((prefix + N, east, north + 1, sign))
         if not ballot_rule or _east_allowed(east, north):
-            step = prefix + (E,)
+            step = prefix + E
             if north == k and (not prefix or prefix[-1] == N):
                 # the step right after the k-th North step is the slot
-                stack.append((step, east + 1, north, east + north, -1))
-                stack.append((step, east + 1, north, east + north, 1))
+                stack.append((step, east + 1, north, -1))
+                stack.append((step, east + 1, north, 1))
             else:
-                stack.append((step, east + 1, north, slot, sign))
+                stack.append((step, east + 1, north, sign))

@@ -175,7 +175,7 @@ def bounce_path(p: Path):
     of absolute value k in any preimage.
     """
     n = type_spec("C").target_rank(p)
-    hits = _bounce_hits("".join(p.steps))
+    hits = _bounce_hits(p.steps)
     moves = ["S" * (len(p.steps) - 2 * hits[0])]
     for a, b in zip(hits, hits[1:]):
         moves += ["W" * (a - b), "S" * (a - b)]
@@ -241,7 +241,7 @@ def inverse_zeta_c(p: Path) -> Path:
     mu[n - 1 - i].
     """
     n = type_spec("C").target_rank(p)
-    word = "".join(p.steps)
+    word = p.steps
     alphas = _level_counts(_bounce_hits(word), n)
     # level k's block has alphas[k] North steps and alphas[k + 1] East
     # steps; level 0's has its North steps twice

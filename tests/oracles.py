@@ -1083,9 +1083,10 @@ def in_group_by_scan(w, lattice_type: str) -> bool:
 # path enumeration by one recursion that places the signed step as it goes
 
 
-def enumerate_paths_by_recursion(kind) -> list[Path]:
+def enumerate_paths_by_recursion(kind) -> list[tuple[Path, int | None]]:
     """Every path of the kind in text order, E before N at each step, with
-    E+ before E- on the signed step of a signed kind."""
+    E+ before E- on the signed step of a signed kind; each with the index
+    of its signed step (or None), placed by this recursion's own rule."""
     shape, params = kind.shape, kind.params
     if shape == "lattice":
         east, north = params
@@ -1097,34 +1098,29 @@ def enumerate_paths_by_recursion(kind) -> list[Path]:
         length = params[0] if shape == "ballot" else 2 * params[0] - 1
         east = north = None  # bounded by the prefix rule only
     ballot_rule = shape in ("ballot", "signed_ballot")
-    out, steps = [], []
+    out = []
 
-    def signed_here(pos: int, n_used: int) -> bool:
+    def signed_here(word: str, n_used: int) -> bool:
         if shape == "signed_lattice":
-            return pos == 0
-        return shape == "signed_ballot" and n_used == params[0] and pos > 0 and steps[-1] == N
+            return word == ""
+        return shape == "signed_ballot" and n_used == params[0] and word[-1:] == N
 
-    def rec(e_used: int, n_used: int, sign_pos, sg: int) -> None:
-        pos = e_used + n_used
+    def rec(word: str, e_used: int, n_used: int, sign_pos, sg: int) -> None:
+        pos = len(word)
         if pos == length:
-            out.append(Path(tuple(steps), kind, sign_pos, sg))
+            out.append((Path(word, kind, sg), sign_pos))
             return
         e_ok = (east is None or e_used < east) and not (ballot_rule and e_used >= n_used)
         if e_ok:
-            signed = signed_here(pos, n_used)
-            steps.append(E)
-            if signed:
-                rec(e_used + 1, n_used, pos, 1)
-                rec(e_used + 1, n_used, pos, -1)
+            if signed_here(word, n_used):
+                rec(word + E, e_used + 1, n_used, pos, 1)
+                rec(word + E, e_used + 1, n_used, pos, -1)
             else:
-                rec(e_used + 1, n_used, sign_pos, sg)
-            steps.pop()
+                rec(word + E, e_used + 1, n_used, sign_pos, sg)
         if north is None or n_used < north:
-            steps.append(N)
-            rec(e_used, n_used + 1, sign_pos, sg)
-            steps.pop()
+            rec(word + N, e_used, n_used + 1, sign_pos, sg)
 
-    rec(0, 0, None, 1)
+    rec("", 0, 0, None, 1)
     return out
 
 
@@ -1197,7 +1193,7 @@ def zeta_path_by_level_scan(p: Path, lattice_type: str) -> Path:
     mu = zeta.area_vector(p, lattice_type)
     if lattice_type == "A":
         word = "".join(segment("left_to_right", -1, j, mu) for j in range(0, -n - 1, -1))
-        return make_path(tuple(word), kind)
+        return make_path(word, kind)
     parts = []
     for j in range(max(abs(v) for v in mu), -1, -1):
         parts.append(segment("right_to_left", -1, j, mu))
@@ -1208,7 +1204,7 @@ def zeta_path_by_level_scan(p: Path, lattice_type: str) -> Path:
     if lattice_type != "C":
         word = word[:-1]
     sign = -1 if lattice_type == "D" and sum(1 for v in mu if v > 0) % 2 else 1
-    return make_path(tuple(word), kind, sign)
+    return make_path(word, kind, sign)
 
 
 def bounce_by_tops(p: Path):
@@ -1247,7 +1243,7 @@ def inverse_zeta_c_by_area_vector(p: Path) -> Path:
     final East run that many entries 1 at the end."""
     _, alphas = bounce_by_tops(p)
     n = type_spec("C").target_rank(p)
-    word = "".join(p.steps)
+    word = p.steps
     blocks = []
     idx = len(word)
     for k in range(0, n + 1):

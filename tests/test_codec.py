@@ -68,6 +68,9 @@ def test_inverse_undoes_zeta_above_the_enumerated_ranks(steps):
     ("NEEN", ballot(4), 1, "ballot prefix condition violated"),
     ("ENNE", ballot(4), 1, "ballot prefix condition violated"),
     ("ENENN", signed_lattice(3), 0, "sign must be +1 or -1"),
+    # an item of more than one letter is one step, and no N or E
+    (["NN", "EE"], lattice(2, 2), 1, "expected 4 steps for lattice(2,2), got 2"),
+    (["E+", "N"], lattice(1, 1), 1, "steps must be N or E"),
 ])
 def test_make_path_refuses_malformed_steps(steps, kind, sign, message):
     with pytest.raises(ShapeViolation) as exc:
@@ -84,7 +87,7 @@ def test_a_bad_sign_needs_a_signed_slot():
 def test_the_bounce_refuses_steps_that_are_not_a_ballot_path(steps):
     # a Path built without make_path; the search West for a North step
     # once found one in its own column and looped
-    q = Path(tuple(steps), ballot(len(steps)))
+    q = Path(steps, ballot(len(steps)))
     with pytest.raises(InternalError):
         bounce_path(q)
     with pytest.raises(InternalError):

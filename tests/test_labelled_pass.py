@@ -533,13 +533,13 @@ def test_one_enumeration_per_side_and_one_zeta_per_path(monkeypatch):
 
 
 def test_a_target_that_is_no_verified_image_runs_its_round_trip(monkeypatch):
-    # zeta sends the first C3 source path to a step tuple that is not a
+    # zeta sends the first C3 source path to a step word that is not a
     # ballot path, and the inverse sends that back: every source round trip
     # holds, but the first path's true image is no verified image, so its
     # own round trip runs and fails
     true_zeta, true_inverse = zmod.zeta_path, zmod.inverse_zeta_c
     first = next(iter(type_spec("C").sources(3)))
-    bad = paths.Path(("E", "N", "N", "N", "E", "E"), paths.ballot(6))
+    bad = paths.Path("ENNNEE", paths.ballot(6))
     monkeypatch.setattr(zmod, "zeta_path", lambda p, t: bad if p == first else true_zeta(p, t))
     monkeypatch.setattr(zmod, "inverse_zeta_c", lambda q: first if q == bad else true_inverse(q))
     image = true_zeta(first, "C")
@@ -618,7 +618,7 @@ def test_a_missing_target_is_named_in_text_order(monkeypatch):
     assert labelled._code(lost[0]) < labelled._code(lost[1])
     # their preimages go to two distinct paths that are no targets
     true_zeta = zmod.zeta_path
-    stray = dict(zip(lost, [Path(("E",) * 7, kind), Path(("E",) * 6 + ("N",), kind)]))
+    stray = dict(zip(lost, [Path("E" * 7, kind), Path("E" * 6 + "N", kind)]))
     monkeypatch.setattr(zmod, "zeta_path", lambda p, t: stray.get(true_zeta(p, t)) or true_zeta(p, t))
     found = run_pass("D", 4, ["bijectivity"])["bijectivity"]
     assert found == UNLABELLED_ORACLES["bijectivity"]("D", 4)

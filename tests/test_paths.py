@@ -28,6 +28,7 @@ from zetakit.paths import (
 )
 
 from oracles import enumerate_paths_by_recursion, segment
+from zetakit.typespec import type_spec
 
 
 def test_parse_golden_square():
@@ -55,7 +56,7 @@ def test_paths_and_kinds_are_values(kind):
         assert q == p and not q != p and hash(q) == hash(p) and q is not p
         assert len({p, q}) == 1 and {p: 1}[q] == 1
         # never equal to a tuple of the same fields
-        assert p != (p.steps, p.kind, p.sign_pos, p.sign) and p != p.steps
+        assert p != (p.steps, p.kind, p.sign) and p != p.steps
     assert kind != (kind.shape, kind.params)
     assert lattice(2, 3) != lattice(3, 2) and ballot(5) != signed_ballot(5)
 
@@ -66,10 +67,10 @@ def test_paths_and_kinds_format_as_text():
     assert "%s" % p == str(p) == p.text == "NNNE-E"
     assert "%s at %s" % (p, p.kind) == "NNNE-E at signed_ballot(3)"
     assert repr(p) == (
-        "Path(steps=('N', 'N', 'N', 'E', 'E'), kind=PathKind(shape='signed_ballot', params=(3,)), sign_pos=3, sign=-1)"
+        "Path(steps='NNNEE', kind=PathKind(shape='signed_ballot', params=(3,)), sign=-1)"
     )
     assert repr(lattice(2, 3)) == "PathKind(shape='lattice', params=(2, 3))"
-    assert Path(p.steps, p.kind, p.sign_pos, p.sign) == p != Path(p.steps, p.kind, p.sign_pos)
+    assert Path(p.steps, p.kind, p.sign) == p != Path(p.steps, p.kind)
 
 
 def test_parse_ballot_prefix_violation():
@@ -180,7 +181,7 @@ def test_enumeration_complete_and_sorted(kind):
     + [lattice(8, 8), lattice(7, 8), ballot(16), ballot(15)]
 ), ids=str)
 def test_enumeration_matches_the_oracle_recursion(kind):
-    assert list(enumerate_paths(kind)) == enumerate_paths_by_recursion(kind)
+    assert list(enumerate_paths(kind)) == [p for p, _ in enumerate_paths_by_recursion(kind)]
 
 
 @pytest.mark.parametrize("make", [signed_lattice, signed_ballot])
@@ -287,3 +288,35 @@ def test_signed_counts_agree(n, data):
     assert count_paths(signed_lattice(n + 1)) == count_paths(signed_ballot(n + 1))
     k = data.draw(st.integers(min_value=0, max_value=n))
     assert count_paths(lattice(k, n)) == math.comb(n + k, k)
+
+
+def test_unsigned_returns_an_unsigned_kind_itself():
+    # a cache keyed by kinds would answer for k with the first equal kind it
+    # saw; a typespec kind is one object per rank, so caches hit by identity.
+    # More kinds than a bounded cache holds push out what earlier tests left
+    for a in range(300):
+        unsigned(lattice(a, 300))
+    for lt in "ABC":
+        side = type_spec(lt).source
+        for n in range(1, 9):
+            k = side.kind(n)
+            assert unsigned(PathKind(k.shape, k.params)) == k
+            assert unsigned(k) is k, k
+
+
+@pytest.mark.parametrize("make", [lattice, ballot, signed_lattice, signed_ballot])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_path_is_its_word_and_its_sign(make, n):
+    # the slot is read off the word, and equals the slot the oracle places
+    kind = make(n, n) if make is lattice else make(2 * n) if make is ballot else make(n)
+    slots = dict(enumerate_paths_by_recursion(kind))
+    for p in enumerate_paths(kind):
+        assert type(p.steps) is str and p.sign_pos == slots[p]
+        assert p.sign_pos is not None or p.sign == 1
+        assert parse_path(render_path(p), p.kind) == p
+
+
+def test_a_word_short_of_the_slot_has_no_slot():
+    # a signed_ballot(4) word with fewer than 4 North steps, built without make_path
+    p = Path("E" * 7, signed_ballot(4))
+    assert p.sign_pos is None and render_path(p) == "E" * 7
