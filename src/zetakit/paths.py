@@ -245,7 +245,7 @@ def parse_path(text: str, kind: PathKind) -> Path:
     signed = [i for i, t in enumerate(toks) if t not in (N, E)]
     if len(signed) > 1:
         raise ShapeViolation("at most one signed step is allowed")
-    p = make_path([t[0] for t in toks], kind, -1 if "E-" in toks else 1)
+    p = make_path("".join([t[0] for t in toks]), kind, -1 if "E-" in toks else 1)
     slot = p.sign_pos
     if slot is None and signed:
         raise ShapeViolation("no signed step allowed at step %d for %s" % (signed[0] + 1, kind))
@@ -320,7 +320,7 @@ def path_of_east_counts(pi, kind: PathKind, sign: int = 1) -> Path:
     for k, v in enumerate(pi):
         # k North and v East steps come before it
         steps[v + k] = N
-    return make_path(steps, kind, sign)
+    return make_path("".join(steps), kind, sign)
 
 
 def is_dyck(p: Path) -> bool:

@@ -230,13 +230,12 @@ def antichain_to_ballot(roots, lattice_type: str, n: int) -> Path:
     if sign < 0:
         vs = [(i, 2 * n + 1 - j if j in (n, n + 1) else j) for i, j in vs]
     length = 2 * n - 1 if lattice_type == "D" else 2 * n
-    steps: list[str] = []
+    word = ""
     north = east = 0
     for i, j in sorted(vs):
-        steps += [N] * (j - 1 - north) + [E] * (i - east)
+        word += N * (j - 1 - north) + E * (i - east)
         north, east = j - 1, i
-    steps += [N] * (length - len(steps))
-    p = make_path(steps, ballot(length))
+    p = make_path(word + N * (length - len(word)), ballot(length))
     return lift_signed(p, sign) if lattice_type == "D" else p
 
 

@@ -319,7 +319,7 @@ def sweep_c(p: Path) -> Path:
     keys.sort()
     if any(a >> 1 == b >> 1 for a, b in zip(keys, keys[1:])):
         raise InternalError("sweep labels collide: %r" % ([k >> 1 for k in keys],))
-    return make_path([N if k & 1 else E for k in keys], spec.target.kind(n))
+    return make_path("".join([N if k & 1 else E for k in keys]), spec.target.kind(n))
 
 
 def inverse_zeta(p: Path, lattice_type: str) -> Path:

@@ -181,7 +181,12 @@ def test_enumeration_complete_and_sorted(kind):
     + [lattice(8, 8), lattice(7, 8), ballot(16), ballot(15)]
 ), ids=str)
 def test_enumeration_matches_the_oracle_recursion(kind):
-    assert list(enumerate_paths(kind)) == [p for p, _ in enumerate_paths_by_recursion(kind)]
+    # the slot is read off the word, and equals the slot the oracle places
+    got = list(enumerate_paths(kind))
+    assert [(p, p.sign_pos) for p in got] == enumerate_paths_by_recursion(kind)
+    for p in got:
+        assert type(p.steps) is str and (p.sign_pos is not None or p.sign == 1)
+        assert parse_path(render_path(p), kind) == p
 
 
 @pytest.mark.parametrize("make", [signed_lattice, signed_ballot])
@@ -220,6 +225,11 @@ def test_make_path_golden_slots():
     assert render_path(make_path("NNEE", lattice(2, 2), -1)) == "NNEE"
     with pytest.raises(ShapeViolation):
         make_path("EEENNNNNE", signed_lattice(5), 0)
+    # steps given one by one are each a single N or E: no runs, no signed steps
+    assert make_path(["N", "N", "E", "E"], lattice(2, 2)) == make_path("NNEE", lattice(2, 2))
+    for items, kind in ((["NN", "EE"], lattice(2, 2)), (["E+", "N"], lattice(1, 1))):
+        with pytest.raises(ShapeViolation):
+            make_path(items, kind)
 
 
 @pytest.mark.parametrize("kind", [ballot(-1), lattice(-1, 2), lattice(2, -1), signed_lattice(0), signed_ballot(0)],
@@ -302,18 +312,6 @@ def test_unsigned_returns_an_unsigned_kind_itself():
             k = side.kind(n)
             assert unsigned(PathKind(k.shape, k.params)) == k
             assert unsigned(k) is k, k
-
-
-@pytest.mark.parametrize("make", [lattice, ballot, signed_lattice, signed_ballot])
-@pytest.mark.parametrize("n", range(1, 8))
-def test_a_path_is_its_word_and_its_sign(make, n):
-    # the slot is read off the word, and equals the slot the oracle places
-    kind = make(n, n) if make is lattice else make(2 * n) if make is ballot else make(n)
-    slots = dict(enumerate_paths_by_recursion(kind))
-    for p in enumerate_paths(kind):
-        assert type(p.steps) is str and p.sign_pos == slots[p]
-        assert p.sign_pos is not None or p.sign == 1
-        assert parse_path(render_path(p), p.kind) == p
 
 
 def test_a_word_short_of_the_slot_has_no_slot():
