@@ -225,11 +225,6 @@ def test_make_path_golden_slots():
     assert render_path(make_path("NNEE", lattice(2, 2), -1)) == "NNEE"
     with pytest.raises(ShapeViolation):
         make_path("EEENNNNNE", signed_lattice(5), 0)
-    # steps given one by one are each a single N or E: no runs, no signed steps
-    assert make_path(["N", "N", "E", "E"], lattice(2, 2)) == make_path("NNEE", lattice(2, 2))
-    for items, kind in ((["NN", "EE"], lattice(2, 2)), (["E+", "N"], lattice(1, 1))):
-        with pytest.raises(ShapeViolation):
-            make_path(items, kind)
 
 
 @pytest.mark.parametrize("kind", [ballot(-1), lattice(-1, 2), lattice(2, -1), signed_lattice(0), signed_ballot(0)],
