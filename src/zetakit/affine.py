@@ -10,19 +10,20 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import LatticeViolation, NotBijective, RankMismatch, Unsupported, json_window
 from .signedperm import SignedPermutation
 from .typespec import TORUS_TYPES
+from .value import _set, _Value
 
 
-@dataclass(frozen=True)
-class AffinePermutation:
-    window: tuple[int, ...]
+class AffinePermutation(_Value):
+    __slots__ = __match_args__ = ("window",)
 
-    def __post_init__(self):
+    def __init__(self, window: tuple[int, ...]):
+        _set(self, "window", window)
+        _set(self, "_key", (window,))
         n = len(self.window)
         K = 2 * n + 1
         residues = sorted(abs(_residue(v, K)) for v in self.window)
@@ -97,9 +98,10 @@ class AffinePermutation:
 
 def _built(window: tuple[int, ...]) -> AffinePermutation:
     """The affine permutation with a window that group arithmetic on valid
-    operands built, without the residue scan of __post_init__."""
+    operands built, without the residue scan of __init__."""
     w = object.__new__(AffinePermutation)
-    object.__setattr__(w, "window", window)
+    _set(w, "window", window)
+    _set(w, "_key", (window,))
     return w
 
 
@@ -128,13 +130,16 @@ def translation(q) -> AffinePermutation:
     return AffinePermutation(tuple(-q[i] * K + (i + 1) for i in range(len(q))))
 
 
-@dataclass(frozen=True)
-class TranslationSplit:
+class TranslationSplit(_Value):
     """Data of w = translation(mu) * sigma = sigma * translation(-nu)."""
 
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-    sigma: SignedPermutation
+    __slots__ = __match_args__ = ("mu", "nu", "sigma")
+
+    def __init__(self, mu: tuple[int, ...], nu: tuple[int, ...], sigma: SignedPermutation):
+        _set(self, "mu", mu)
+        _set(self, "nu", nu)
+        _set(self, "sigma", sigma)
+        _set(self, "_key", (mu, nu, sigma))
 
 
 def decompose(w: AffinePermutation) -> TranslationSplit:

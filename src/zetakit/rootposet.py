@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
 from .paths import E, N, Path, ballot, lift_signed, make_path, sign_of, valleys
 from .signedperm import SignedPermutation, passes
 from .typespec import type_spec
+from .value import _set, _Value
 
 # kinds: "diff" e_j - e_i, "sum" e_i + e_j (both with i < j), "short" e_i, "long" 2e_i
 _KINDS = {
@@ -29,20 +29,34 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    lattice_type: str
-    kind: str
-    i: int
-    j: int = 0
+class Root(_Value):
+    """A positive root, ordered by (lattice_type, kind, i, j)."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = ("lattice_type", "kind", "i", "j")
+
+    def __init__(self, lattice_type: str, kind: str, i: int, j: int = 0):
+        _set(self, "lattice_type", lattice_type)
+        _set(self, "kind", kind)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "_key", (lattice_type, kind, i, j))
         if self.kind not in _KINDS.get(self.lattice_type, ()):
             raise TypeMismatch("%s root not allowed in type %s" % (self.kind, self.lattice_type))
         if self.kind in ("diff", "sum") and not 1 <= self.i < self.j:
             raise TypeMismatch("need 1 <= i < j, got i=%d j=%d" % (self.i, self.j))
         if self.kind in ("short", "long") and (self.i < 1 or self.j != 0):
             raise TypeMismatch("bad index for %s root" % self.kind)
+
+    # the order of the key; > and >= are these with the operands swapped
+    def __lt__(self, other):
+        if other.__class__ is not Root:
+            return NotImplemented
+        return self._key < other._key
+
+    def __le__(self, other):
+        if other.__class__ is not Root:
+            return NotImplemented
+        return self._key <= other._key
 
     def __str__(self) -> str:
         if self.kind == "diff":
@@ -272,13 +286,16 @@ def diag_validate(p: Path, w: SignedPermutation, lattice_type: str) -> bool:
     return passes(w.window, *antichain_forms(p, lattice_type))
 
 
-@dataclass(frozen=True)
-class ParkingFunction:
+class ParkingFunction(_Value):
     """Canonical representative (w, A) of a parking function class: w sends
     every root of the antichain A to a positive root."""
 
-    w: SignedPermutation
-    antichain: tuple[Root, ...]
+    __slots__ = __match_args__ = ("w", "antichain")
+
+    def __init__(self, w: SignedPermutation, antichain: tuple[Root, ...]):
+        _set(self, "w", w)
+        _set(self, "antichain", antichain)
+        _set(self, "_key", (w, antichain))
 
 
 def to_parking_function(p: Path, w: SignedPermutation, lattice_type: str) -> ParkingFunction:

@@ -9,18 +9,19 @@ subgroup is a predicate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from .errors import NotBijective, RankMismatch, Unsupported, json_window
+from .value import _set, _Value
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    window: tuple[int, ...]
+class SignedPermutation(_Value):
+    __slots__ = __match_args__ = ("window",)
 
-    def __post_init__(self):
+    def __init__(self, window: tuple[int, ...]):
+        _set(self, "window", window)
+        _set(self, "_key", (window,))
         n = len(self.window)
         if sorted(abs(v) for v in self.window) != list(range(1, n + 1)) or 0 in self.window:
             raise NotBijective("window %r is not a signed permutation" % (self.window,))
@@ -38,9 +39,14 @@ class SignedPermutation:
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """(self * other)(i) = self(other(i))."""
+        if other.__class__ is not SignedPermutation:
+            raise TypeError("cannot compose a signed permutation with %r" % (other,))
         if self.n != other.n:
             raise RankMismatch("rank %d vs %d" % (self.n, other.n))
-        return SignedPermutation(tuple(self(other.window[i]) for i in range(self.n)))
+        # self extended to [-n, n]: entry k is self(k), and entry -k is self(-k)
+        w = self.window
+        signed = (0, *w, *[-v for v in reversed(w)])
+        return _built(tuple(map(signed.__getitem__, other.window)))
 
     __mul__ = compose
 
@@ -51,7 +57,7 @@ class SignedPermutation:
                 win[v - 1] = i
             else:
                 win[-v - 1] = -i
-        return SignedPermutation(tuple(win))
+        return _built(tuple(win))
 
     def sign_changes(self) -> int:
         return sum(1 for v in self.window if v < 0)
@@ -91,6 +97,15 @@ class SignedPermutation:
     @classmethod
     def from_text(cls, text: str) -> "SignedPermutation":
         return cls(json_window(text))
+
+
+def _built(window: tuple[int, ...]) -> SignedPermutation:
+    """The signed permutation with a window that group arithmetic on valid
+    operands built, without the check of __init__."""
+    w = object.__new__(SignedPermutation)
+    _set(w, "window", window)
+    _set(w, "_key", (window,))
+    return w
 
 
 # A positivity form (i, a, j, b) tests a*win[i] + b*win[j] > 0 on a window:

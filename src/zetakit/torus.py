@@ -12,7 +12,6 @@ vertical labels of a path are u up to a sign twist.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import paths
@@ -22,14 +21,16 @@ from .paths import Path, east_counts, path_of_east_counts, rises, sign_of
 from .rootposet import highest_root_vector, root_from_vector, simple_root_vectors
 from .signedperm import SignedPermutation, passes, weyl_group
 from .typespec import modulus, type_spec
+from .value import _set, _Value
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    lattice_type: str
-    coords: tuple[int, ...]
+class TorusElement(_Value):
+    __slots__ = __match_args__ = ("lattice_type", "coords")
 
-    def __post_init__(self):
+    def __init__(self, lattice_type: str, coords: tuple[int, ...]):
+        _set(self, "lattice_type", lattice_type)
+        _set(self, "coords", coords)
+        _set(self, "_key", (lattice_type, coords))
         type_spec(self.lattice_type).check_rank(len(self.coords))
         m = self.mod
         if any(not 0 <= c < m for c in self.coords):
@@ -138,15 +139,16 @@ def wall_images(ts: SignedPermutation, lam, lattice_type: str) -> tuple:
     return tuple(sorted(roots))
 
 
-@dataclass(frozen=True)
-class VertPath:
+class VertPath(_Value):
     """A vertically labelled path: the i-th North step carries label
     labels(i)."""
 
-    path: Path
-    labels: SignedPermutation
+    __slots__ = __match_args__ = ("path", "labels")
 
-    def __post_init__(self):
+    def __init__(self, path: Path, labels: SignedPermutation):
+        _set(self, "path", path)
+        _set(self, "labels", labels)
+        _set(self, "_key", (path, labels))
         n, north = self.labels.n, self.path.steps.count(paths.N)
         if n != north:
             raise RankMismatch("labels have rank %d, path has %d North steps" % (n, north))

@@ -12,11 +12,10 @@ through this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import paths
 from .errors import RankMismatch, ShapeMismatch, Unsupported
 from .paths import Path, PathKind, is_dyck
+from .value import _set, _Value
 
 # every check, in report order
 CHECKS = (
@@ -34,16 +33,21 @@ CHECKS = (
 LABELLED_CHECKS = ("labelled_bijectivity", "rise_valley", "uniform", "anderson")
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(_Value):
     """The path kinds on one side of a zeta map: at rank n, the kind has
-    shape `shape` and parameters (scale * n, ..., scale * n), `arity` times."""
+    shape `shape` and parameters (scale * n, ..., scale * n), `arity` times.
+    Its cache of kinds, `_kinds`, is not part of its key."""
 
-    shape: str
-    arity: int
-    scale: int
-    name: str
-    _kinds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("shape", "arity", "scale", "name", "_kinds")
+    __match_args__ = ("shape", "arity", "scale", "name")
+
+    def __init__(self, shape: str, arity: int, scale: int, name: str):
+        _set(self, "shape", shape)
+        _set(self, "arity", arity)
+        _set(self, "scale", scale)
+        _set(self, "name", name)
+        _set(self, "_kinds", {})
+        _set(self, "_key", (shape, arity, scale, name))
 
     def kind(self, n: int) -> PathKind:
         """The kind at rank n, one object per rank, so that a cache keyed by
@@ -60,18 +64,24 @@ SIGNED_LATTICE = Side("signed_lattice", 1, 1, "signed lattice")
 SIGNED_BALLOT = Side("signed_ballot", 1, 1, "signed ballot")
 
 
-@dataclass(frozen=True)
-class TypeSpec:
-    name: str
-    source: Side
-    target: Side
-    dyck: bool  # both sides keep only the paths weakly above the diagonal
-    min_rank: int
-    modulus_shift: int | None  # the torus modulus is 2n + shift; None: no torus
-    label_type: str
-    checks: tuple[str, ...]
-    even_sums: bool = False  # the coroot lattice has even coordinate sums
-    even_signs: bool = False  # Weyl group elements change an even number of signs
+class TypeSpec(_Value):
+    __slots__ = __match_args__ = ("name", "source", "target", "dyck", "min_rank", "modulus_shift", "label_type",
+                                  "checks", "even_sums", "even_signs")
+
+    def __init__(self, name: str, source: Side, target: Side, dyck: bool, min_rank: int, modulus_shift: int | None,
+                 label_type: str, checks: tuple[str, ...], even_sums: bool = False, even_signs: bool = False):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "dyck", dyck)  # both sides keep only the paths weakly above the diagonal
+        _set(self, "min_rank", min_rank)
+        _set(self, "modulus_shift", modulus_shift)  # the torus modulus is 2n + shift; None: no torus
+        _set(self, "label_type", label_type)
+        _set(self, "checks", checks)
+        _set(self, "even_sums", even_sums)  # the coroot lattice has even coordinate sums
+        _set(self, "even_signs", even_signs)  # Weyl group elements change an even number of signs
+        _set(self, "_key", (name, source, target, dyck, min_rank, modulus_shift, label_type, checks, even_sums,
+                            even_signs))
 
     def sources(self, n: int):
         """Every source path of rank n, in enumeration order."""

@@ -13,7 +13,6 @@ labelling of each source path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import zeta
@@ -29,6 +28,7 @@ from .paths import count_paths, enumeration_cap
 from .rootposet import ParkingFunction
 from .torus import VertPath, _twisted, lambda_of_path, to_torus, wall_images
 from .typespec import LABELLED_CHECKS, TypeSpec, modulus, type_spec
+from .value import _set, _Value
 
 
 def uniform_oracle(vp: VertPath, lattice_type: str) -> ParkingFunction:
@@ -94,14 +94,18 @@ def anderson_check(vp: VertPath, lattice_type: str) -> bool:
     return data["vector"] == to_torus(vp, lattice_type).coords and data["orbit_rep"] == lam
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    lattice_type: str
-    n: int
-    passed: bool
-    counterexample: str | None = None
-    examined: int = 0  # objects the check looked at; not part of the report
+class CheckResult(_Value):
+    __slots__ = __match_args__ = ("check", "lattice_type", "n", "passed", "counterexample", "examined")
+
+    def __init__(self, check: str, lattice_type: str, n: int, passed: bool, counterexample: str | None = None,
+                 examined: int = 0):
+        _set(self, "check", check)
+        _set(self, "lattice_type", lattice_type)
+        _set(self, "n", n)
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
+        _set(self, "examined", examined)  # objects the check looked at; not part of the report
+        _set(self, "_key", (check, lattice_type, n, passed, counterexample, examined))
 
     def to_dict(self) -> dict:
         d = {"check": self.check, "type": self.lattice_type, "n": self.n, "passed": self.passed}
@@ -110,9 +114,12 @@ class CheckResult:
         return d
 
 
-@dataclass(frozen=True)
-class Report:
-    results: tuple[CheckResult, ...]
+class Report(_Value):
+    __slots__ = __match_args__ = ("results",)
+
+    def __init__(self, results: tuple[CheckResult, ...]):
+        _set(self, "results", results)
+        _set(self, "_key", (results,))
 
     @property
     def passed(self) -> bool:

@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import zetakit
 from zetakit.cli import main
 
 
@@ -12,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_a_cold_start_loads_no_dataclasses():
+    # the value types are slotted classes on zetakit.value._Value: a fresh
+    # interpreter imports the package without compiling dataclass methods
+    src = os.path.dirname(os.path.dirname(zetakit.__file__))
+    code = "import sys; sys.path.insert(0, %r); import zetakit, zetakit.cli, zetakit.labelled; " \
+           "print('dataclasses' in sys.modules)" % src
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_zeta_labelled_golden(capsys):

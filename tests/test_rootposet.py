@@ -1,4 +1,5 @@
 import itertools
+from operator import attrgetter
 
 import pytest
 
@@ -6,6 +7,7 @@ from zetakit import rootposet
 from zetakit.errors import InvalidLabelling, NotAntichain, RankMismatch, TypeMismatch
 from zetakit.paths import ballot, enumerate_paths, parse_path, signed_ballot
 from zetakit.rootposet import (
+    Root,
     antichain_to_ballot,
     ballot_to_antichain,
     diag_validate,
@@ -49,6 +51,16 @@ def test_parse_and_render_roots():
         parse_root("e3", "C")
     with pytest.raises(TypeMismatch):
         parse_root("2e3", "D")
+
+
+def test_root_repr_and_order():
+    assert repr(Root("C", "diff", 1, 2)) == "Root(lattice_type='C', kind='diff', i=1, j=2)"
+    assert Root("C", "long", 2) == Root("C", "long", 2, 0)
+    # antichains and wall images are sorted by (lattice_type, kind, i, j)
+    mixed = [r for lt in "DCB" for r in reversed(positive_roots(lt, 4))]
+    assert sorted(mixed) == sorted(mixed, key=attrgetter("lattice_type", "kind", "i", "j"))
+    a, b = Root("C", "diff", 1, 3), Root("C", "diff", 2, 3)
+    assert (a < b, a <= b, a > b, a >= b, b > a, b >= a, a <= a) == (True, True, False, False, True, True, True)
 
 
 def test_positive_root_counts():
@@ -162,6 +174,10 @@ def test_root_from_vector_refuses_non_roots(vec, lt):
     (lambda: antichain_to_ballot(roots("C", "e4-e1"), "C", 3), RankMismatch),
     (lambda: antichain_to_ballot(roots("B", "e2-e1"), "C", 3), TypeMismatch),
     (lambda: antichain_to_ballot(roots("D", "e3+e2"), "D", 2), RankMismatch),
+    # a diff or sum root needs i < j, a long or short root j = 0
+    (lambda: Root("B", "diff", 2, 2), TypeMismatch),
+    (lambda: Root("C", "sum", 3, 3), TypeMismatch),
+    (lambda: Root("C", "long", 1, 2), TypeMismatch),
 ])
 def test_roots_outside_the_rank_or_type(call, error):
     with pytest.raises(error):

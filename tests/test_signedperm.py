@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from zetakit.affine import AffinePermutation
 from zetakit.errors import NotBijective, RankMismatch
 from zetakit.signedperm import (
     SignedPermutation,
@@ -55,6 +56,17 @@ def test_act_golden():
     assert sp(1, -5, -4, 2, 3, 6).act((0, 4, 4, 4, 4, 4)) == (0, 4, 4, -4, -4, 4)
     x = (7, -2, 5)
     assert SignedPermutation.identity(3).act(x) == x
+
+
+def test_repr_is_the_field_text():
+    assert repr(SignedPermutation((2, -1))) == "SignedPermutation(window=(2, -1))"
+    assert str(SignedPermutation((2, -1))) == "[2,-1]"
+
+
+def test_compose_needs_a_signed_permutation():
+    # compose trusts its operands' windows, so a foreign operand is refused
+    with pytest.raises(TypeError):
+        sp(2, 1).compose(AffinePermutation((2, 1)))
 
 
 def test_rank_mismatch():

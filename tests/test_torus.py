@@ -160,6 +160,12 @@ def test_torus_element_reduces_coordinates():
     assert torus_element("D", (1, -2, 8)).coords == (1, 3, 3)
 
 
+@pytest.mark.parametrize("lt,coords", [("C", (0, 7, 0)), ("C", (0, -1, 0)), ("D", (5, 0, 0))])
+def test_torus_element_refuses_unreduced_coordinates(lt, coords):
+    with pytest.raises(NotRepresentative):
+        TorusElement(lt, coords)
+
+
 def test_canonicalize_golden():
     lam, u = canonicalize(torus_element("C", C_TORUS))
     assert lam == (0, 4, 4, 4, 4, 4)

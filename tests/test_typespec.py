@@ -1,16 +1,26 @@
+import copy
+import pickle
+
 import pytest
 
 import zetakit.labelled as labelled
 import zetakit.torus as torus
 import zetakit.typespec as typespec
 from zetakit import stats
-from zetakit.affine import AffinePermutation, dominant_frame, grassmannian_companion, in_group, is_grassmannian
+from zetakit.affine import (
+    AffinePermutation,
+    decompose,
+    dominant_frame,
+    grassmannian_companion,
+    in_group,
+    is_grassmannian,
+)
 from zetakit.errors import RankMismatch, ShapeMismatch, Unsupported, ZetakitError
 from zetakit.paths import ballot, enumerate_paths, is_dyck, lattice, parse_path, signed_ballot, signed_lattice
-from zetakit.rootposet import antichain_to_ballot, diag_validate
+from zetakit.rootposet import ParkingFunction, Root, antichain_to_ballot, diag_validate
 from zetakit.signedperm import SignedPermutation, weyl_group
 from zetakit.typespec import CHECKS, LABELLED_CHECKS, type_spec
-from zetakit.verify import run_suite
+from zetakit.verify import CheckResult, Report, run_suite
 from zetakit.zeta import area_vector
 
 
@@ -75,6 +85,45 @@ def test_an_unsupported_type_or_request_is_a_typed_error(call):
     with pytest.raises(Unsupported) as info:
         call()
     assert isinstance(info.value, ZetakitError) and isinstance(info.value, ValueError)
+
+
+_SP = SignedPermutation((2, -1))
+_ROOT = Root("C", "diff", 1, 2)
+
+
+@pytest.mark.parametrize("value,field", [
+    (_SP, "window"),
+    (_W, "window"),
+    (decompose(_W), "mu"),
+    (_ROOT, "j"),
+    (ParkingFunction(_SP, (_ROOT,)), "antichain"),
+    (torus.TorusElement("C", (0, 1)), "coords"),
+    (torus.VertPath(_SQUARE, _SP), "labels"),
+    (typespec.SQUARE, "scale"),
+    (type_spec("C"), "checks"),
+    (CheckResult("counting", "C", 2, True), "passed"),
+    (Report((CheckResult("counting", "C", 2, True),)), "results"),
+], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+def test_value_types_refuse_assignment(value, field):
+    before = repr(value)
+    for name in (field, "_key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == before and value == copy.copy(value) == pickle.loads(pickle.dumps(value))
+
+
+def test_value_type_defaults_and_keys():
+    assert Root("C", "long", 2).j == 0
+    assert (type_spec("C").even_sums, type_spec("C").even_signs) == (False, False)
+    assert CheckResult("counting", "C", 2, True) == CheckResult("counting", "C", 2, True, None, 0)
+    # a side's cache of kinds is not part of its value
+    side = typespec.Side("ballot", 1, 2, "even-length ballot")
+    assert side == typespec.EVEN_BALLOT and hash(side) == hash(typespec.EVEN_BALLOT)
+    side.kind(3)
+    assert side == typespec.EVEN_BALLOT and repr(side) == repr(typespec.EVEN_BALLOT)
+    assert repr(side) == "Side(shape='ballot', arity=1, scale=2, name='even-length ballot')"
 
 
 def test_torus_reexports_registry_functions():

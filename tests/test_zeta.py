@@ -232,6 +232,14 @@ def test_inverse_zeta_c_roundtrip(n):
         assert zeta_path(inverse_zeta_c(q), "C") == q
 
 
+def test_inverse_zeta_c_refuses_a_block_short_of_north_steps(monkeypatch):
+    # level counts (1, 0, 1) cut NNEE into the blocks EE, N and N: level
+    # 0's block needs one North step and has none
+    monkeypatch.setattr(zmod, "_level_counts", lambda hits, n: (1, 0, 1))
+    with pytest.raises(InternalError, match="fewer than 1 North steps"):
+        inverse_zeta_c(parse_path("NNEE", ballot(4)))
+
+
 def test_sweep_golden():
     p = parse_path(C_PATH, lattice(6, 6))
     assert sweep_labels(p) == C_SWEEP_LABELS
