@@ -79,6 +79,8 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     lt = args.type
     wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
+    if not wanted:
+        raise Unsupported("no statistics requested")
     allowed = {
         "A": ("area", "dinv"),
         "B": ("area", "dinv_b_exp"),

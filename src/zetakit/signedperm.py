@@ -134,15 +134,14 @@ def weyl_group(lattice_type: str, n: int) -> tuple[SignedPermutation, ...]:
     the three share one set of elements."""
     if n < 0:
         raise RankMismatch("rank %d is negative" % n)
+    # every window below is a signed permutation by construction, so none is checked again
     if lattice_type == "A":
-        return tuple(
-            SignedPermutation(p) for p in itertools.permutations(range(1, n + 1))
-        )
+        return tuple(map(_built, itertools.permutations(range(1, n + 1))))
     if lattice_type == "B":
         # the permutations in lexicographic order, each with its signs in product order
         signs = list(itertools.product((1, -1), repeat=n))
         perms = itertools.permutations(range(1, n + 1))
-        return tuple(SignedPermutation(tuple(map(mul, s, p))) for p in perms for s in signs)
+        return tuple(_built(tuple(map(mul, s, p))) for p in perms for s in signs)
     if lattice_type == "C":
         return weyl_group("B", n)
     if lattice_type == "D":

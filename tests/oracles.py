@@ -413,6 +413,14 @@ def north_count(p: Path) -> int:
     return sum(1 for s in p.steps if s == N)
 
 
+def dinv_by_area_sequence(p: Path) -> int:
+    """Haglund's dinv of a Dyck path: the pairs i < j of its area sequence
+    (a_i = i - 1 - #E before the i-th N, which area_vector(p, "A") reads)
+    with a_i = a_j or a_i = a_j + 1."""
+    a = [i - e for i, e in enumerate(_east_before_each_north(p))]
+    return sum(1 for i, j in itertools.combinations(range(len(a)), 2) if a[i] - a[j] in (0, 1))
+
+
 def area_by_boxes(p: Path) -> int:
     """Type C area as a box count below the ballot path."""
     n = p.kind.params[0] // 2

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import zetakit
 from zetakit.cli import main
+from zetakit.paths import lattice, parse_path
+
+from oracles import dinv_by_area_sequence
 
 
 def run(capsys, *argv):
@@ -168,6 +172,19 @@ def test_table_contains_golden_row(tmp_path, capsys):
     assert rows == ["NEEEENNNNNEE,9,9"]
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_table_type_a_dinv_is_haglunds_dinv(tmp_path, capsys, n):
+    # the A dinv column, stats.dinv_c on Dyck paths, counts Haglund's pairs of the area sequence
+    out_file = tmp_path / "a.csv"
+    code, _, _ = run(capsys, "table", "--type", "A", "--n", str(n), "--stats", "dinv", "--out", str(out_file))
+    assert code == 0
+    header, *lines = out_file.read_text().splitlines()
+    assert header == "path,dinv"
+    rows = [line.split(",") for line in lines]
+    assert len(rows) == math.comb(2 * n, n) // (n + 1)
+    assert [int(d) for _, d in rows] == [dinv_by_area_sequence(parse_path(p, lattice(n, n))) for p, _ in rows]
+
+
 def test_table_header_only(tmp_path, capsys):
     out_file = tmp_path / "empty.csv"
     code, _, _ = run(
@@ -221,6 +238,9 @@ def test_output_byte_stable(capsys):
     (["zeta", "--type", "C", "--path", "", "--inverse"], 3, "shape error: type C needs rank >= 1, got ballot(0)"),
     (["zeta", "--type", "B", "--path", ""], 3, "shape error: type B needs rank >= 2, got lattice(0,0)"),
     (["zeta", "--type", "D", "--path", "NE-"], 3, "shape error: type D needs rank >= 2, got signed_lattice(1)"),
+    # a table of no statistics is refused as verify refuses no checks
+    (["table", "--type", "C", "--n", "2", "--stats", ","], 2, "parse error: no statistics requested"),
+    (["table", "--type", "C", "--n", "2", "--stats", ""], 2, "parse error: no statistics requested"),
 ])
 def test_unsupported_rank_or_shape_exit_code(tmp_path, capsys, argv, code, error):
     if argv[0] == "table":
