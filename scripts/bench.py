@@ -92,17 +92,17 @@ def parse_verify(spec: str) -> tuple:
 
 
 def needed_cap(spec: str) -> int:
-    """The enumeration cap the verify run needs, as verify's cap guard counts
-    its top rank, and never below the cap in force; from the zetakit on sys.path."""
-    from zetakit.paths import count_paths, enumeration_cap
-    from zetakit.typespec import LABELLED_CHECKS, type_spec
+    """The enumeration cap the verify run needs: the most objects any of its
+    checks counts at its top rank, the type's own checks when CHECKS is
+    omitted, and never below the cap in force; from the zetakit on sys.path."""
+    from zetakit.paths import enumeration_cap
+    from zetakit.typespec import type_spec
+    from zetakit.verify import objects_needed
 
     lt, n, checks = parse_verify(spec)
     ts = type_spec(lt)
-    need = count_paths(ts.source.kind(n)) + count_paths(ts.target.kind(n))
-    if checks is None or set(checks.split(",")) & set(LABELLED_CHECKS):
-        need += ts.modulus(n) ** n
-    return max(need, enumeration_cap())
+    names = ts.checks if checks is None else checks.split(",")
+    return max([objects_needed(ts, n, name) for name in names] + [enumeration_cap()])
 
 
 def verify_run(root: str, spec: str, cap=None) -> dict:

@@ -105,7 +105,7 @@ def dinv_b_experimental(p: Path) -> int:
     """Candidate diagonal inversion count over the type B area vector: the
     pair forms of its rows and the entries 0 and 1.
 
-    Exploratory only; not tied to any verified identity.
+    Exploratory: the tests, not verify, hold it equal to area after zeta.
     """
     mu = area_vector(p, "B")
     return _pair_count(tuple(reversed(mu))) + sum(1 for v in mu if v in (0, 1))

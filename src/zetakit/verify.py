@@ -129,13 +129,14 @@ class Report(_Value):
         return json.dumps([r.to_dict() for r in self.results], indent=2)
 
 
-def _guard_cap(spec: TypeSpec, n: int, check: str) -> None:
-    cap = enumeration_cap()
-    heavy = count_paths(spec.source.kind(n)) + count_paths(spec.target.kind(n))
+def objects_needed(spec: TypeSpec, n: int, check: str) -> int:
+    """The objects one check counts against the enumeration cap at rank n:
+    the source and target paths, and for a labelled check the modulus^n
+    torus points as well."""
+    need = count_paths(spec.source.kind(n)) + count_paths(spec.target.kind(n))
     if check in LABELLED_CHECKS:
-        heavy += spec.modulus(n) ** n
-    if heavy > cap:
-        raise CapExceeded("rank %d needs %d objects, cap is %d" % (n, heavy, cap))
+        need += spec.modulus(n) ** n
+    return need
 
 
 def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
@@ -160,8 +161,11 @@ def run_suite(lattice_type: str, n_max: int, checks=None) -> Report:
     names = [c for c in spec.checks if c in checks]
     ranks = range(spec.min_rank, n_max + 1)
     plan = [(c, n) for c in names for n in ranks]
+    cap = enumeration_cap()
     for name, n in plan:
-        _guard_cap(spec, n, name)
+        need = objects_needed(spec, n, name)
+        if need > cap:
+            raise CapExceeded("rank %d needs %d objects, cap is %d" % (n, need, cap))
     # loaded on first use: importing verify does not compile the pass
     from .labelled import run_pass
 

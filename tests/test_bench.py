@@ -103,3 +103,5 @@ def test_needed_cap_counts_the_labelled_domain_only_for_labelled_checks():
     assert bench.needed_cap("C:10:counting,bijectivity") == 10**7
     # C8 with every check counts 17^8 labellings besides
     assert bench.needed_cap("C:8") == 2 * 12870 + 17**8
+    # type A has no labelled check and no torus: its default checks count 2 * C(8, 4) paths
+    assert bench.needed_cap("A:4") == 10**7

@@ -123,6 +123,8 @@ def test_refined_dinv_equals_refined_area(n):
 
 
 def test_dinv_b_experimental_smoke():
-    for p in enumerate_paths(lattice(3, 3)):
-        assert dinv_b_experimental(p) >= 0
-    assert isinstance(dinv_b_experimental(parse_path("EN" * 4, lattice(4, 4))), int)
+    # dinv = area after zeta, on every source path of B2-B7
+    spec = type_spec("B")
+    for n in range(2, 8):
+        for p in spec.sources(n):
+            assert dinv_b_experimental(p) == area(zeta_path(p, "B"), "B"), p

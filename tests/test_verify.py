@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -17,6 +16,8 @@ from zetakit.verify import (
     uniform_oracle,
 )
 from zetakit.zeta import zeta_labelled
+
+from test_bench import bench
 
 from oracles import (
     B_EXAMPLES,
@@ -155,23 +156,22 @@ def test_corrupted_map_is_reported(monkeypatch):
 
 def test_cap_checked_before_any_check_runs(monkeypatch):
     calls = []
-    monkeypatch.setattr(labelled, "run_pass", lambda lt, n, names: calls.append(n))
+    real_pass = labelled.run_pass
+    monkeypatch.setattr(labelled, "run_pass", lambda lt, n, names: calls.append(n) or real_pass(lt, n, names))
     with pytest.raises(CapExceeded):
         run_suite("C", 99, ["counting"])
     assert calls == []
-
-
-# sha256 of run_suite(lt, 3).to_json(); a change to any report byte shows here
-REPORT_SHA256 = {
-    "A": "2a4ee351125896cfbeb908224e55c30b2e0be48aa130b9b4420887eeb4a05022",
-    "B": "72de1db99a6579e5eb6ad369ad57c04e33c1e1806533d45dec60bf6b543887d8",
-    "C": "e09ef9a9d000901e60acdbf493e08beaae8782128e3eb1f75f402bb5af5f1008",
-    "D": "1e631fa3760880be2894393d2e688e59efaf5c74e2a266809f8aeb948ab1bf11",
-}
-
-
-@pytest.mark.parametrize("lt,rows", [("A", 6), ("B", 12), ("C", 27), ("D", 12)])
-def test_report_bytes_pinned(lt, rows):
-    text = run_suite(lt, 3).to_json()
-    assert len(json.loads(text)) == rows
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[lt]
+    # the cap scripts/bench.py counts for a run, as CI sets it, is just enough
+    for spec in ("C:2", "C:3:counting,bijectivity", "A:2"):
+        lt, n, checks = bench.parse_verify(spec)
+        checks = checks and checks.split(",")
+        monkeypatch.setenv("ZETAKIT_CAP", "0")  # needed_cap never counts below the cap in force
+        cap = bench.needed_cap(spec)
+        monkeypatch.setenv("ZETAKIT_CAP", str(cap - 1))
+        with pytest.raises(CapExceeded):
+            run_suite(lt, n, checks)
+        assert calls == []
+        monkeypatch.setenv("ZETAKIT_CAP", str(cap))
+        assert run_suite(lt, n, checks).passed
+        assert calls
+        calls.clear()
